@@ -33,7 +33,7 @@ consume fetch bandwidth, predictor state, and checkpoint entries.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from repro.core.inflight import InflightBranch
 from repro.core.unit import LocalBranchUnit
@@ -96,8 +96,16 @@ class PipelineModel:
         through pre-bound methods instead of two-level attribute
         lookups.  Bound at init so subclass overrides still apply;
         checkpoint/spec_push skip the GlobalPredictor delegation layer
-        only when the predictor has not overridden them.  The
-        specialized-engine driver (:mod:`repro.pipeline.specialize`)
+        only when the predictor has not overridden them.
+
+        ``_fused_resolve`` is the predictor's fused correct-path step
+        (:meth:`~repro.predictors.base.GlobalPredictor.spec_resolve_correct`)
+        when the system can use it, else None.  It needs no local unit
+        (the unit predicts from the in-flight branch), a pure lookup (a
+        declined step re-runs the full predict path) and the default
+        checkpoint/spec_push (the step pushes the history itself).
+
+        The specialized-engine driver (:mod:`repro.pipeline.specialize`)
         calls this again after restoring a checkpoint, because a restore
         replaces ``baseline``/``btb`` with deep copies the old bound
         methods no longer point at.
@@ -105,14 +113,23 @@ class PipelineModel:
         baseline = self.baseline
         self._base_lookup = baseline.lookup
         base_type = type(baseline)
-        if base_type.checkpoint is GlobalPredictor.checkpoint:
+        default_checkpoint = base_type.checkpoint is GlobalPredictor.checkpoint
+        default_push = base_type.spec_push is GlobalPredictor.spec_push
+        if default_checkpoint:
             self._base_checkpoint = baseline.history.checkpoint
         else:
             self._base_checkpoint = baseline.checkpoint
-        if base_type.spec_push is GlobalPredictor.spec_push:
+        if default_push:
             self._base_spec_push = baseline.history.push
         else:
             self._base_spec_push = baseline.spec_push
+        fusable = (
+            self.unit is None
+            and baseline.pure_lookup
+            and default_checkpoint
+            and default_push
+        )
+        self._fused_resolve = baseline.spec_resolve_correct if fusable else None
         self._btb_lookup = self.btb.lookup
         self._btb_install = self.btb.install
         # Immutable timing parameters hoisted out of the per-branch path
@@ -125,6 +142,7 @@ class PipelineModel:
         self._nonbranch_base_latency = cfg.nonbranch_base_latency
         self._exec_jitter = cfg.exec_jitter
         self._retire_width = cfg.retire_width
+        self._rob_entries = cfg.rob_entries
         self._btb_miss_penalty = cfg.btb_miss_penalty
 
     # ------------------------------------------------------------- #
@@ -159,24 +177,37 @@ class PipelineModel:
         (:mod:`repro.pipeline.specialize`) interleave generic prefix
         simulation, specialized spans, and post-abort generic replay over
         one uninterrupted window.  Returns the number of records consumed.
+
+        Correctly predicted conditionals of a fusable system (see
+        :meth:`_bind_hot_paths`) go through the predictor's fused step
+        and build no per-branch objects.  Traced runs take the full
+        path, so every conditional still emits its ``PredictEvent``.
         """
-        next_record = stream.next_record
+        records = stream.records
+        window_append = stream.window.append
+        start = pos = stream.position
+        stop = len(records) if limit is None else min(len(records), start + limit)
+        rob = self._rob
         retire_up_to = self._retire_up_to
         issue = self._issue
         resolve_correct = self._resolve_correct
-        consumed = 0
-        while not stream.exhausted and (limit is None or consumed < limit):
-            record = next_record()
-            consumed += 1
-            retire_up_to(self._fe_cycle)
-            branch = issue(record, wrong_path=False)
+        fused = None if self._tel.tracing else self._fused_resolve
+        while pos < stop:
+            record = records[pos]
+            pos += 1
+            window_append(record)
+            if rob and rob[0][0] <= self._fe_cycle:
+                retire_up_to(self._fe_cycle)
+            branch = issue(record, False, fused)
             if branch is None:
                 continue
-            if branch.predicted_taken != branch.record.taken:
+            if branch.predicted_taken != record.taken:
+                stream.seek(pos)
                 self._mispredict_episode(branch, stream)
             else:
                 resolve_correct(branch)
-        return consumed
+        stream.seek(pos)
+        return pos - start
 
     def current_cycle(self) -> int:
         """Front-end/retirement high-water mark, for per-segment deltas.
@@ -195,29 +226,36 @@ class PipelineModel:
     # ------------------------------------------------------------- #
     # per-record issue: fetch, predict, allocate, schedule
 
-    def _issue(self, record: BranchRecord, wrong_path: bool) -> InflightBranch | None:
+    def _issue(
+        self,
+        record: BranchRecord,
+        wrong_path: bool,
+        fused: Callable[[int, bool], bool] | None = None,
+    ) -> InflightBranch | None:
         """Advance fetch over one instruction group; predict the branch.
 
         Returns the InflightBranch for conditional branches, None for
-        other control flow (which only consumes bandwidth and BTB slots).
+        other control flow (which only consumes bandwidth and BTB slots)
+        and for correct-path conditionals the ``fused`` step resolved.
         """
         stats = self.stats
         group = record.inst_gap + 1
         fetch_cycles = -(-group // self._fetch_width)
         fetch_cycle = self._fe_cycle + fetch_cycles - 1
+        alloc_cycle = fetch_cycle + self._frontend_depth
 
-        # Taken control flow needs a BTB target; a miss stalls fetch.
         btb_bubble = 0
-        if record.taken and not wrong_path:
-            if self._btb_lookup(record.pc) is None:
+        if not wrong_path:
+            # Taken control flow needs a BTB target; a miss stalls fetch.
+            if record.taken and self._btb_lookup(record.pc) is None:
                 self._btb_install(record.pc, record.target)
                 btb_bubble = self._btb_miss_penalty
                 stats.btb_misses += 1
-
-        if wrong_path:
-            alloc_cycle = fetch_cycle + self._frontend_depth
-        else:
-            alloc_cycle = self._allocate(fetch_cycle, group)
+            if alloc_cycle < self._last_alloc:
+                alloc_cycle = self._last_alloc
+            if self._rob_occupancy + group > self._rob_entries:
+                alloc_cycle = self._allocate(alloc_cycle, group)
+            self._last_alloc = alloc_cycle
 
         load_latency = 0
         if record.load_addr:
@@ -242,28 +280,33 @@ class PipelineModel:
         completion = alloc_cycle + sched_to_exec + (
             load_latency if load_latency > base_latency else base_latency
         )
+        if resolve_cycle > completion:
+            completion = resolve_cycle
 
         branch: InflightBranch | None = None
         if record.kind is BranchKind.COND:
-            branch = InflightBranch(
-                uid=uid,
-                record=record,
-                wrong_path=wrong_path,
-                fetch_cycle=fetch_cycle,
-                alloc_cycle=alloc_cycle,
-                resolve_cycle=resolve_cycle,
-            )
-            self._predict(branch, fetch_cycle, alloc_cycle)
-            if not wrong_path:
+            if wrong_path:
+                stats.wrong_path_branches += 1
+            else:
                 stats.cond_branches += 1
                 if record.taken:
                     stats.taken_branches += 1
-                if branch.tage_pred is not None and (
-                    branch.tage_pred.taken != record.taken
+            if fused is None or not fused(record.pc, record.taken):
+                branch = InflightBranch(
+                    uid=uid,
+                    record=record,
+                    wrong_path=wrong_path,
+                    fetch_cycle=fetch_cycle,
+                    alloc_cycle=alloc_cycle,
+                    resolve_cycle=resolve_cycle,
+                )
+                self._predict(branch, fetch_cycle, alloc_cycle)
+                if (
+                    not wrong_path
+                    and branch.tage_pred is not None
+                    and branch.tage_pred.taken != record.taken
                 ):
                     stats.base_wrong += 1
-            else:
-                stats.wrong_path_branches += 1
 
         # Single boolean check on the (default) disabled-telemetry path;
         # everything telemetry-related lives behind it.
@@ -285,23 +328,20 @@ class PipelineModel:
                 )
 
         self._fe_cycle += fetch_cycles + btb_bubble
-        if not wrong_path:
-            stats.branches += 1
-            stats.instructions += group
-            retire_cycle = max(
-                completion,
-                resolve_cycle,
-                self._last_retire + -(-group // self._retire_width),
-            )
-            self._last_retire = retire_cycle
+        if wrong_path:
             if branch is not None:
-                branch.retire_cycle = retire_cycle
-            self._rob_occupancy += group
-            self._rob.append((retire_cycle, group, branch))
-        else:
-            branch_retire = max(completion, resolve_cycle)
-            if branch is not None:
-                branch.retire_cycle = branch_retire
+                branch.retire_cycle = completion
+            return branch
+        stats.branches += 1
+        stats.instructions += group
+        retire_cycle = self._last_retire + -(-group // self._retire_width)
+        if completion > retire_cycle:
+            retire_cycle = completion
+        self._last_retire = retire_cycle
+        if branch is not None:
+            branch.retire_cycle = retire_cycle
+        self._rob_occupancy += group
+        self._rob.append((retire_cycle, group, branch))
         return branch
 
     def _predict(self, branch: InflightBranch, fetch_cycle: int, alloc_cycle: int) -> None:
@@ -329,11 +369,9 @@ class PipelineModel:
                     self._fe_cycle = restart
             branch.predicted_taken = final
 
-    def _allocate(self, fetch_cycle: int, group: int) -> int:
-        """Allocation time for a group, honouring the ROB bound."""
-        cfg = self.config
-        alloc_cycle = max(fetch_cycle + cfg.frontend_depth, self._last_alloc)
-        while self._rob_occupancy + group > cfg.rob_entries:
+    def _allocate(self, alloc_cycle: int, group: int) -> int:
+        """Retire until ``group`` fits the full ROB; the delayed alloc cycle."""
+        while self._rob_occupancy + group > self._rob_entries:
             if not self._rob:
                 raise SimulationError(
                     f"instruction group of {group} exceeds ROB capacity"
@@ -348,7 +386,6 @@ class PipelineModel:
             if retire_cycle > alloc_cycle:
                 self.stats.rob_stall_cycles += retire_cycle - alloc_cycle
                 alloc_cycle = retire_cycle
-        self._last_alloc = alloc_cycle
         return alloc_cycle
 
     # ------------------------------------------------------------- #

@@ -24,20 +24,16 @@ guard/commit/abort scheme:
    committed branch is simulated either by the generic code or by a
    specialized path proven equivalent to it.
 
-Three templates exist.  The stock no-unit TAGE system gets the deep
-``"tage"`` template: the provider scan, training updates, history push
-and the wrong-path replay of a misprediction episode are all unrolled
-into generated straight-line code with per-table constants inlined,
-and GHIST/PHIST plus every fold register live in local variables that
-sync with the predictor objects only around the (rare) generic
-mispredict lookup/train and at span boundaries.  Other pure-lookup
-predictors get the ``"nounit"`` template, whose correct path uses the
-fused :meth:`~repro.predictors.base.GlobalPredictor.spec_resolve_correct`
-and whose mispredictions fall back to the generic
-:meth:`~repro.pipeline.core.PipelineModel._mispredict_episode`.
-Systems with a local unit get the ``"unit"`` template, which keeps the
-full generic predict flow (the unit is stateful and cheap relative to
-TAGE) and specializes only the pipeline bookkeeping around it.
+One template exists, for the stock no-unit TAGE system: the provider
+scan, training updates, history push and the wrong-path replay of a
+misprediction episode are all unrolled into generated straight-line
+code with per-table constants inlined, and GHIST/PHIST plus every fold
+register live in local variables that sync with the predictor objects
+only around the (rare) generic mispredict lookup/train and at span
+boundaries.  Every other system declines with a reason and runs on the
+generic engine, whose own fused correct-path step
+(:meth:`~repro.predictors.base.GlobalPredictor.spec_resolve_correct`)
+already serves the other pure-lookup predictors.
 
 This module is simulation code (no environment reads, no clocks); all
 policy — whether to specialize, profile length, cache directory — is
@@ -62,7 +58,7 @@ from repro.pipeline.btb import BranchTargetBuffer
 from repro.pipeline.core import PipelineModel
 from repro.pipeline.stats import SimStats
 from repro.predictors.base import GlobalPredictor
-from repro.predictors.history import GlobalHistory, HistoryCheckpoint
+from repro.predictors.history import GlobalHistory
 from repro.predictors.tage import TagePredictor
 from repro.telemetry import TELEMETRY
 from repro.trace.records import BranchKind, BranchRecord
@@ -85,7 +81,7 @@ __all__ = [
 #: Bumped whenever codegen output could change for the same inputs.
 #: Folded into both the engine cache key and the run manifest's engine
 #: tag, so stale cached engines and stale cached *results* both miss.
-SPECIALIZE_VERSION = 1
+SPECIALIZE_VERSION = 2
 
 #: Generic-engine prefix observed before deciding what to specialize.
 DEFAULT_PROFILE_BRANCHES = 2000
@@ -148,7 +144,7 @@ class SpecializationDecision:
     which is what makes the on-disk engine cache sound.
     """
 
-    template: str  #: ``"tage"``, ``"nounit"``, or ``"unit"``.
+    template: str  #: ``"tage"``, the only template.
     has_loads: bool  #: Profile prefix contained records with load_addr.
     has_hierarchy: bool  #: A CacheHierarchy is attached.
     fetch_width: int
@@ -160,22 +156,21 @@ class SpecializationDecision:
     retire_width: int
     rob_entries: int
     btb_miss_penalty: int
-    early_resteer_penalty: int
     wrong_path: bool
     wrong_path_window: int
     wrong_path_max_branches: int
     resteer_penalty: int
-    #: BTB hash geometry, inlined by the deep template.
+    #: TAGE structure inlined by the template.
+    tage: TageGeometry
+    #: BTB hash geometry, inlined by the template.
     btb_ways: int = 0
     btb_set_bits: int = 0
     btb_set_mask: int = 0
-    #: L1 data-cache geometry for the deep template's inlined hit probe
+    #: L1 data-cache geometry for the template's inlined hit probe
     #: (zeros when no hierarchy is attached).
     l1_line_shift: int = 0
     l1_set_mask: int = 0
     l1_latency: int = 0
-    #: TAGE structure for the deep template; None for the other two.
-    tage: TageGeometry | None = None
 
     def fingerprint(self) -> str:
         """Stable digest over every field, for the engine cache key."""
@@ -205,17 +200,13 @@ def plan_specialization(
         return None, "predictor overrides spec_push"
     if not baseline.pure_lookup:
         return None, "predictor lookup is not pure"
-    cfg = model.config
-    prefix = records[:profiled]
-
-    # The deep template inlines TAGE's scan/train and the history push
-    # into generated straight-line code, so it demands the exact stock
+    if model.unit is not None:
+        return None, "local unit present"
+    # The template inlines TAGE's scan/train and the history push into
+    # generated straight-line code, so it demands the exact stock
     # classes (a subclass could override any of the methods it elides).
     hierarchy = model.hierarchy
-    geometry: TageGeometry | None = None
-    if model.unit is not None:
-        template = "unit"
-    elif (
+    if not (
         type(baseline) is TagePredictor
         and type(baseline.history) is GlobalHistory
         and type(model.btb) is BranchTargetBuffer
@@ -227,27 +218,27 @@ def plan_specialization(
             )
         )
     ):
-        template = "tage"
-        history = baseline.history
-        geometry = TageGeometry(
-            tables=tuple(baseline._lookup_params),
-            folds=tuple(history._fold_params),
-            bim_mask=baseline._bim_mask,
-            ghist_mask=history._ghist_mask,
-            phist_mask=history._phist_mask,
-            ctr_max=baseline._ctr_max,
-            ctr_min=baseline._ctr_min,
-            u_max=baseline._u_max,
-            use_alt_max=baseline._use_alt_max,
-            use_alt_threshold=(baseline._use_alt_max + 1) // 2,
-            u_reset_period=baseline.config.u_reset_period,
-        )
-    else:
-        template = "nounit"
+        return None, "not the stock TAGE system"
+    cfg = model.config
+    prefix = records[:profiled]
+    history = baseline.history
+    geometry = TageGeometry(
+        tables=tuple(baseline._lookup_params),
+        folds=tuple(history._fold_params),
+        bim_mask=baseline._bim_mask,
+        ghist_mask=history._ghist_mask,
+        phist_mask=history._phist_mask,
+        ctr_max=baseline._ctr_max,
+        ctr_min=baseline._ctr_min,
+        u_max=baseline._u_max,
+        use_alt_max=baseline._use_alt_max,
+        use_alt_threshold=(baseline._use_alt_max + 1) // 2,
+        u_reset_period=baseline.config.u_reset_period,
+    )
 
     return (
         SpecializationDecision(
-            template=template,
+            template="tage",
             has_loads=any(r.load_addr for r in prefix),
             has_hierarchy=model.hierarchy is not None,
             fetch_width=cfg.fetch_width,
@@ -259,11 +250,11 @@ def plan_specialization(
             retire_width=cfg.retire_width,
             rob_entries=cfg.rob_entries,
             btb_miss_penalty=cfg.btb_miss_penalty,
-            early_resteer_penalty=cfg.early_resteer_penalty,
             wrong_path=cfg.wrong_path,
             wrong_path_window=cfg.wrong_path_window,
             wrong_path_max_branches=cfg.wrong_path_max_branches,
             resteer_penalty=cfg.resteer_penalty,
+            tage=geometry,
             btb_ways=model.btb.ways,
             btb_set_bits=model.btb._set_bits,
             btb_set_mask=model.btb._set_mask,
@@ -276,7 +267,6 @@ def plan_specialization(
             l1_latency=(
                 hierarchy.config.l1.latency if hierarchy is not None else 0
             ),
-            tage=geometry,
         ),
         None,
     )
@@ -285,14 +275,14 @@ def plan_specialization(
 # ------------------------------------------------------------------ #
 # templates
 #
-# Each template is a complete, parseable module defining
+# The template is a complete, parseable module defining
 # ``specialized_step(model, stream, start, stop) -> int``.  Dunder
 # names (``__FETCH_WIDTH__`` ...) are placeholders — legal identifiers,
-# so the raw templates stay ``ast.parse``-clean for simlint's template
+# so the raw template stays ``ast.parse``-clean for simlint's template
 # scanning (GEN001/DET001/SPEC001) — replaced with literals or code at
 # generation time.  Every line mirrors a line of
-# ``PipelineModel._issue``/``run_stream``; when editing one, diff it
-# against the generic engine, not against the other template.
+# ``PipelineModel._issue``/``run_stream``; when editing it, diff it
+# against the generic engine.
 
 TAGE_STEP_TEMPLATE = '''\
 def _resolve_key(entry):
@@ -451,329 +441,9 @@ def specialized_step(model, stream, start, stop):
     return stop
 '''
 
-NOUNIT_STEP_TEMPLATE = '''\
-def specialized_step(model, stream, start, stop):
-    records = stream.records
-    window_append = stream.window.append
-    baseline = model.baseline
-    spec_resolve_correct = baseline.spec_resolve_correct
-    base_lookup = model._base_lookup
-    hist_checkpoint = model._base_checkpoint
-    hist_push = model._base_spec_push
-    btb_lookup = model._btb_lookup
-    btb_install = model._btb_install
-    mispredict_episode = model._mispredict_episode
-    __HIER_BIND__
-    stats = model.stats
-    rob = model._rob
-    rob_append = rob.append
-    rob_popleft = rob.popleft
-    fe_cycle = model._fe_cycle
-    last_alloc = model._last_alloc
-    last_retire = model._last_retire
-    rob_occupancy = model._rob_occupancy
-    next_uid = model._next_uid
-    d_instructions = 0
-    d_branches = 0
-    d_cond = 0
-    d_taken = 0
-    d_base_wrong = 0
-    d_btb_misses = 0
-    d_rob_stall = 0
-    pos = start
-    while pos < stop:
-        record = records[pos]
-        pos += 1
-        window_append(record)
-        if rob and rob[0][0] <= fe_cycle:
-            freed = 0
-            while rob and rob[0][0] <= fe_cycle:
-                freed += rob_popleft()[1]
-            rob_occupancy -= freed
-        group = record.inst_gap + 1
-        fetch_cycles = -(-group // __FETCH_WIDTH__)
-        fetch_cycle = fe_cycle + fetch_cycles - 1
-        btb_bubble = 0
-        if record.taken and btb_lookup(record.pc) is None:
-            btb_install(record.pc, record.target)
-            btb_bubble = __BTB_MISS_PENALTY__
-            d_btb_misses += 1
-        alloc_cycle = fetch_cycle + __FRONTEND_DEPTH__
-        if alloc_cycle < last_alloc:
-            alloc_cycle = last_alloc
-        while rob_occupancy + group > __ROB_ENTRIES__:
-            if not rob:
-                raise SimulationError(
-                    f"instruction group of {group} exceeds ROB capacity"
-                )
-            r_cycle, r_size, _r_branch = rob_popleft()
-            rob_occupancy -= r_size
-            if r_cycle > alloc_cycle:
-                d_rob_stall += r_cycle - alloc_cycle
-                alloc_cycle = r_cycle
-        last_alloc = alloc_cycle
-        __LOAD_PREP__
-        uid = next_uid
-        next_uid = uid + 1
-        resolve_cycle = alloc_cycle + __EXEC_BASE__ + __JITTER_EXPR__ + __DEP_TERM__
-        completion = alloc_cycle + __COMPLETION_TAIL__
-        branch = None
-        if record.kind is COND:
-            taken = record.taken
-            pc = record.pc
-            d_cond += 1
-            if taken:
-                d_taken += 1
-            if not spec_resolve_correct(pc, taken):
-                pred = base_lookup(pc)
-                ckpt = hist_checkpoint()
-                branch = InflightBranch(
-                    uid=uid,
-                    record=record,
-                    wrong_path=False,
-                    fetch_cycle=fetch_cycle,
-                    alloc_cycle=alloc_cycle,
-                    resolve_cycle=resolve_cycle,
-                )
-                branch.tage_pred = pred
-                branch.hist_ckpt = ckpt
-                branch.predicted_taken = pred.taken
-                hist_push(pc, pred.taken)
-                d_base_wrong += 1
-        fe_cycle += fetch_cycles + btb_bubble
-        d_branches += 1
-        d_instructions += group
-        retire_cycle = completion if completion > resolve_cycle else resolve_cycle
-        pace = last_retire + -(-group // __RETIRE_WIDTH__)
-        if pace > retire_cycle:
-            retire_cycle = pace
-        last_retire = retire_cycle
-        rob_occupancy += group
-        rob_append((retire_cycle, group, branch))
-        if branch is not None:
-            branch.retire_cycle = retire_cycle
-            model._fe_cycle = fe_cycle
-            model._last_alloc = last_alloc
-            model._last_retire = last_retire
-            model._rob_occupancy = rob_occupancy
-            model._next_uid = next_uid
-            stats.instructions += d_instructions
-            stats.branches += d_branches
-            stats.cond_branches += d_cond
-            stats.taken_branches += d_taken
-            stats.base_wrong += d_base_wrong
-            stats.btb_misses += d_btb_misses
-            stats.rob_stall_cycles += d_rob_stall
-            d_instructions = 0
-            d_branches = 0
-            d_cond = 0
-            d_taken = 0
-            d_base_wrong = 0
-            d_btb_misses = 0
-            d_rob_stall = 0
-            stream.seek(pos)
-            mispredict_episode(branch, stream)
-            fe_cycle = model._fe_cycle
-            last_alloc = model._last_alloc
-            last_retire = model._last_retire
-            rob_occupancy = model._rob_occupancy
-            next_uid = model._next_uid
-    model._fe_cycle = fe_cycle
-    model._last_alloc = last_alloc
-    model._last_retire = last_retire
-    model._rob_occupancy = rob_occupancy
-    model._next_uid = next_uid
-    stats.instructions += d_instructions
-    stats.branches += d_branches
-    stats.cond_branches += d_cond
-    stats.taken_branches += d_taken
-    stats.base_wrong += d_base_wrong
-    stats.btb_misses += d_btb_misses
-    stats.rob_stall_cycles += d_rob_stall
-    stream.seek(pos)
-    return pos
-'''
-
-UNIT_STEP_TEMPLATE = '''\
-def specialized_step(model, stream, start, stop):
-    records = stream.records
-    window_append = stream.window.append
-    baseline = model.baseline
-    base_train = baseline.train
-    base_lookup = model._base_lookup
-    hist_checkpoint = model._base_checkpoint
-    hist_push = model._base_spec_push
-    btb_lookup = model._btb_lookup
-    btb_install = model._btb_install
-    mispredict_episode = model._mispredict_episode
-    unit = model.unit
-    unit_predict = unit.predict
-    unit_at_alloc = unit.at_alloc
-    unit_resolve = unit.resolve
-    unit_retire = unit.retire
-    __HIER_BIND__
-    stats = model.stats
-    rob = model._rob
-    rob_append = rob.append
-    rob_popleft = rob.popleft
-    fe_cycle = model._fe_cycle
-    last_alloc = model._last_alloc
-    last_retire = model._last_retire
-    rob_occupancy = model._rob_occupancy
-    next_uid = model._next_uid
-    d_instructions = 0
-    d_branches = 0
-    d_cond = 0
-    d_taken = 0
-    d_base_wrong = 0
-    d_btb_misses = 0
-    d_rob_stall = 0
-    d_early_resteers = 0
-    pos = start
-    while pos < stop:
-        record = records[pos]
-        pos += 1
-        window_append(record)
-        if rob and rob[0][0] <= fe_cycle:
-            freed = 0
-            while rob and rob[0][0] <= fe_cycle:
-                r_cycle, r_size, r_branch = rob_popleft()
-                freed += r_size
-                if r_branch is not None:
-                    unit_retire(r_branch, r_cycle)
-            rob_occupancy -= freed
-        group = record.inst_gap + 1
-        fetch_cycles = -(-group // __FETCH_WIDTH__)
-        fetch_cycle = fe_cycle + fetch_cycles - 1
-        btb_bubble = 0
-        if record.taken and btb_lookup(record.pc) is None:
-            btb_install(record.pc, record.target)
-            btb_bubble = __BTB_MISS_PENALTY__
-            d_btb_misses += 1
-        alloc_cycle = fetch_cycle + __FRONTEND_DEPTH__
-        if alloc_cycle < last_alloc:
-            alloc_cycle = last_alloc
-        while rob_occupancy + group > __ROB_ENTRIES__:
-            if not rob:
-                raise SimulationError(
-                    f"instruction group of {group} exceeds ROB capacity"
-                )
-            r_cycle, r_size, r_branch = rob_popleft()
-            rob_occupancy -= r_size
-            if r_branch is not None:
-                unit_retire(r_branch, r_cycle)
-            if r_cycle > alloc_cycle:
-                d_rob_stall += r_cycle - alloc_cycle
-                alloc_cycle = r_cycle
-        last_alloc = alloc_cycle
-        __LOAD_PREP__
-        uid = next_uid
-        next_uid = uid + 1
-        resolve_cycle = alloc_cycle + __EXEC_BASE__ + __JITTER_EXPR__ + __DEP_TERM__
-        completion = alloc_cycle + __COMPLETION_TAIL__
-        branch = None
-        taken = False
-        if record.kind is COND:
-            taken = record.taken
-            pc = record.pc
-            branch = InflightBranch(
-                uid=uid,
-                record=record,
-                wrong_path=False,
-                fetch_cycle=fetch_cycle,
-                alloc_cycle=alloc_cycle,
-                resolve_cycle=resolve_cycle,
-            )
-            pred = base_lookup(pc)
-            branch.tage_pred = pred
-            branch.hist_ckpt = hist_checkpoint()
-            final = unit_predict(branch, pred.taken, fetch_cycle)
-            branch.predicted_taken = final
-            hist_push(pc, final)
-            final = unit_at_alloc(branch, alloc_cycle)
-            if branch.early_resteer:
-                d_early_resteers += 1
-                restart = alloc_cycle + __EARLY_RESTEER_PENALTY__
-                if restart > fe_cycle:
-                    fe_cycle = restart
-            branch.predicted_taken = final
-            d_cond += 1
-            if taken:
-                d_taken += 1
-            if pred.taken != taken:
-                d_base_wrong += 1
-        fe_cycle += fetch_cycles + btb_bubble
-        d_branches += 1
-        d_instructions += group
-        retire_cycle = completion if completion > resolve_cycle else resolve_cycle
-        pace = last_retire + -(-group // __RETIRE_WIDTH__)
-        if pace > retire_cycle:
-            retire_cycle = pace
-        last_retire = retire_cycle
-        rob_occupancy += group
-        rob_append((retire_cycle, group, branch))
-        if branch is not None:
-            branch.retire_cycle = retire_cycle
-            if branch.predicted_taken != taken:
-                model._fe_cycle = fe_cycle
-                model._last_alloc = last_alloc
-                model._last_retire = last_retire
-                model._rob_occupancy = rob_occupancy
-                model._next_uid = next_uid
-                stats.instructions += d_instructions
-                stats.branches += d_branches
-                stats.cond_branches += d_cond
-                stats.taken_branches += d_taken
-                stats.base_wrong += d_base_wrong
-                stats.btb_misses += d_btb_misses
-                stats.rob_stall_cycles += d_rob_stall
-                stats.early_resteers += d_early_resteers
-                d_instructions = 0
-                d_branches = 0
-                d_cond = 0
-                d_taken = 0
-                d_base_wrong = 0
-                d_btb_misses = 0
-                d_rob_stall = 0
-                d_early_resteers = 0
-                stream.seek(pos)
-                mispredict_episode(branch, stream)
-                fe_cycle = model._fe_cycle
-                last_alloc = model._last_alloc
-                last_retire = model._last_retire
-                rob_occupancy = model._rob_occupancy
-                next_uid = model._next_uid
-            else:
-                base_train(pred, taken)
-                unit_resolve(branch, (), resolve_cycle)
-    model._fe_cycle = fe_cycle
-    model._last_alloc = last_alloc
-    model._last_retire = last_retire
-    model._rob_occupancy = rob_occupancy
-    model._next_uid = next_uid
-    stats.instructions += d_instructions
-    stats.branches += d_branches
-    stats.cond_branches += d_cond
-    stats.taken_branches += d_taken
-    stats.base_wrong += d_base_wrong
-    stats.btb_misses += d_btb_misses
-    stats.rob_stall_cycles += d_rob_stall
-    stats.early_resteers += d_early_resteers
-    stream.seek(pos)
-    return pos
-'''
-
-_TEMPLATES = {
-    "tage": TAGE_STEP_TEMPLATE,
-    "nounit": NOUNIT_STEP_TEMPLATE,
-    "unit": UNIT_STEP_TEMPLATE,
-}
-
-#: Digest over the raw templates; part of the engine cache key so any
+#: Digest over the raw template; part of the engine cache key so any
 #: template edit invalidates cached engines even without a version bump.
-_TEMPLATE_SHA = hashlib.sha256(
-    (TAGE_STEP_TEMPLATE + NOUNIT_STEP_TEMPLATE + UNIT_STEP_TEMPLATE).encode()
-).hexdigest()[:16]
+_TEMPLATE_SHA = hashlib.sha256(TAGE_STEP_TEMPLATE.encode()).hexdigest()[:16]
 
 
 # ------------------------------------------------------------------ #
@@ -807,22 +477,20 @@ def _nest(lines: Sequence[str], levels: int = 1) -> list[str]:
     return [pad + line for line in lines]
 
 
-def _load_prep_lines(
-    decision: SpecializationDecision, *, inline_l1: bool = False
-) -> list[str]:
+def _load_prep_lines(decision: SpecializationDecision) -> list[str]:
     """Load-latency block, or the loads guard when the profile saw none.
 
-    With ``inline_l1`` (deep template only) the L1 hit case — residency
-    probe, LRU refresh, hit tally — is unrolled against the cache's set
-    dicts, and only misses delegate to the full hierarchy walk (after
-    syncing the locally-held tick/hit counters it reads and bumps).
+    With a hierarchy, the L1 hit case — residency probe, LRU refresh,
+    hit tally — is unrolled against the cache's set dicts, and only
+    misses delegate to the full hierarchy walk (after syncing the
+    locally-held tick/hit counters it reads and bumps).
     """
     if not decision.has_loads:
         return [
             "if record.load_addr:",
             '    raise GuardTripped("loads")',
         ]
-    if inline_l1 and decision.has_hierarchy:
+    if decision.has_hierarchy:
         return [
             "load_latency = 0",
             "la = record.load_addr",
@@ -841,11 +509,10 @@ def _load_prep_lines(
             "        load_latency = hier_load(la)",
             "        l1_tick = l1._tick",
         ]
-    latency = "hier_load(record.load_addr)" if decision.has_hierarchy else "5"
     return [
         "load_latency = 0",
         "if record.load_addr:",
-        f"    load_latency = {latency}",
+        "    load_latency = 5",
     ]
 
 
@@ -882,49 +549,30 @@ def _fold_chunks(olen: int, clen: int) -> int:
     return -(-olen // clen)
 
 
-def _canonical_slots(g: TageGeometry) -> dict[int, int]:
-    """Map each fold slot to the first slot with the same fold value.
-
-    Two folds with equal ``(original_length, compressed_length)`` hold
-    identical values at every point in time (outpoint and mask are
-    functions of those two), so the generated code computes or
-    maintains only the first of each group and aliases the rest.
-    """
-    first: dict[tuple[int, int], int] = {}
-    canon: dict[int, int] = {}
-    for slot, olen, _outpoint, clen, _cmask in g.folds:
-        canon[slot] = first.setdefault((olen, clen), slot)
-    return canon
-
-
-def _fold_ref(g: TageGeometry, slot: int) -> str:
-    """The local-variable name carrying this slot's fold value."""
-    return f"fc{_canonical_slots(g)[slot]}"
-
-
 def _maintained_folds(
     g: TageGeometry,
 ) -> list[tuple[int, int, int, int, int]]:
-    """Canonical folds kept in locals and updated on every push."""
-    canon = _canonical_slots(g)
+    """Fold registers kept in locals and updated on every push.
+
+    ``g.folds`` holds one entry per distinct register (the history
+    already gives folds with equal values one shared slot), so each
+    register is maintained or derived exactly once.
+    """
     return [
         fold
         for fold in g.folds
-        if canon[fold[0]] == fold[0]
-        and _fold_chunks(fold[1], fold[3]) >= _MAINTAIN_MIN_CHUNKS
+        if _fold_chunks(fold[1], fold[3]) >= _MAINTAIN_MIN_CHUNKS
     ]
 
 
-def _derived_canonical(
+def _derived_folds(
     g: TageGeometry,
 ) -> list[tuple[int, int, int, int, int]]:
-    """Canonical folds recomputed from GHIST at read time."""
-    canon = _canonical_slots(g)
+    """Fold registers recomputed from GHIST at read time."""
     return [
         fold
         for fold in g.folds
-        if canon[fold[0]] == fold[0]
-        and _fold_chunks(fold[1], fold[3]) < _MAINTAIN_MIN_CHUNKS
+        if _fold_chunks(fold[1], fold[3]) < _MAINTAIN_MIN_CHUNKS
     ]
 
 
@@ -937,7 +585,7 @@ def _glow_mask(g: TageGeometry) -> int | None:
     (one or two CPython digits) — and recomputes derived folds from it,
     instead of paying wide-integer arithmetic against the full GHIST.
     """
-    derived = _derived_canonical(g)
+    derived = _derived_folds(g)
     if not derived:
         return None
     return (1 << max(fold[1] for fold in derived)) - 1
@@ -946,7 +594,7 @@ def _glow_mask(g: TageGeometry) -> int | None:
 def _derived_fold_lines(
     g: TageGeometry, slots: Sequence[int], scratch: str = "gw"
 ) -> list[str]:
-    """Recompute the given derived canonical folds from ``glow``.
+    """Recompute the given derived folds from ``glow``.
 
     Emits the chunk-XOR rebuild (``FoldedHistory.rebuild``) as straight-
     line code; single-chunk folds collapse to one mask of ``glow``.
@@ -1005,13 +653,10 @@ def _hist_flush_lines(g: TageGeometry) -> list[str]:
     (cheap, and only at flush points) so ``fold_comps`` holds the exact
     values the generic code would have maintained.
     """
-    canon = _canonical_slots(g)
     lines = _derived_fold_lines(
-        g, [fold[0] for fold in _derived_canonical(g)], scratch="gf"
+        g, [fold[0] for fold in _derived_folds(g)], scratch="gf"
     )
-    lines.extend(
-        f"comps[{slot}] = fc{canon[slot]}" for slot, *_ in g.folds
-    )
+    lines.extend(f"comps[{slot}] = fc{slot}" for slot, *_ in g.folds)
     lines.append("hist.ghist = ghist")
     lines.append("hist.phist = phist")
     return lines
@@ -1034,14 +679,13 @@ def _scan_lines(g: TageGeometry) -> list[str]:
     correct-path train consume: the provider's row aliases and index,
     and the alternate's counter value, captured at match time.
     """
-    canon = _canonical_slots(g)
     maintained = {fold[0] for fold in _maintained_folds(g)}
     lines = ["provider = -1", "alt_table = -1"]
     for t in range(len(g.tables) - 1, -1, -1):
         log, path_mask, pc_shift, islot, s0, s1, imask, tmask = g.tables[t]
         derived = [
             c
-            for c in dict.fromkeys(canon[s] for s in (islot, s0, s1))
+            for c in dict.fromkeys((islot, s0, s1))
             if c not in maintained
         ]
         hash_lines = _derived_fold_lines(g, derived)
@@ -1049,11 +693,11 @@ def _scan_lines(g: TageGeometry) -> list[str]:
             f"path = phist & {path_mask}",
             f"path ^= path >> {log}",
             f"idx = (pc_bits ^ (pc_bits >> {pc_shift})"
-            f" ^ {_fold_ref(g, islot)} ^ path) & {imask}",
+            f" ^ fc{islot} ^ path) & {imask}",
         ]
         tag_expr = (
-            f"(pc_bits ^ {_fold_ref(g, s0)}"
-            f" ^ ({_fold_ref(g, s1)} << 1)) & {tmask}"
+            f"(pc_bits ^ fc{s0}"
+            f" ^ (fc{s1} << 1)) & {tmask}"
         )
         hit_lines = [
             f"provider = {t}",
@@ -1282,7 +926,7 @@ def _episode_fetch_lines(
         "    fetch_cycle = fe_cycle + fetch_cycles - 1",
         f"    alloc_cycle = fetch_cycle + {decision.frontend_depth}",
     ]
-    lines.extend(_nest(_load_prep_lines(decision, inline_l1=True)))
+    lines.extend(_nest(_load_prep_lines(decision)))
     lines.extend(
         [
             "    uid = next_uid",
@@ -1382,33 +1026,60 @@ def generate_engine_source(decision: SpecializationDecision) -> str:
     Deterministic: equal decisions yield byte-identical source (the
     GEN001 round-trip contract and the reason disk caching is sound).
     """
-    template = _TEMPLATES[decision.template]
-
+    g = decision.tage
+    mispredict_flush = _hist_flush_lines(g)
+    mispredict_flush.append("baseline._use_alt = use_alt")
+    epilogue_flush = _hist_flush_lines(g)
+    epilogue_flush.append("baseline._use_alt = use_alt")
+    epilogue_flush.append("baseline._updates_since_reset = usr")
     if decision.has_loads and decision.has_hierarchy:
-        hier_bind = "hier_load = model.hierarchy.load_latency"
+        hier_bind = _render(
+            [
+                "hier_load = model.hierarchy.load_latency",
+                "l1 = model.hierarchy.l1",
+                "l1_sets = l1._sets",
+                "l1_tick = l1._tick",
+                "d_l1_hits = 0",
+            ],
+            4,
+        )
+        epilogue_flush.append("l1._tick = l1_tick")
+        epilogue_flush.append("l1.hits += d_l1_hits")
     else:
         hier_bind = "pass"
     if decision.has_loads:
-        dep_term = "(load_latency if record.depends_on_load else 0)"
         base = decision.nonbranch_base_latency
         completion_tail = (
             f"{decision.sched_to_exec} + "
             f"(load_latency if load_latency > {base} else {base})"
         )
+        dep_stmt = _render(
+            [
+                "if load_latency and record.depends_on_load:",
+                "    resolve_cycle += load_latency",
+            ],
+            8,
+        )
     else:
-        dep_term = "0"
         completion_tail = str(
             decision.sched_to_exec + decision.nonbranch_base_latency
         )
+        dep_stmt = "pass"
     if decision.exec_jitter:
         jitter_expr = f"((uid * 2654435761) >> 13) % {decision.exec_jitter}"
     else:
         jitter_expr = "0"
+    if decision.wrong_path:
+        wrong_path_fetch = _render(_episode_fetch_lines(decision, g), 12)
+        pending_repairs = _render(_pending_repair_lines(g), 12)
+    else:
+        wrong_path_fetch = "pass"
+        pending_repairs = "pass"
 
     substitutions = {
         "__HIER_BIND__": hier_bind,
         "__LOAD_PREP__": _render(_load_prep_lines(decision), 8),
-        "__DEP_TERM__": dep_term,
+        "__DEP_STMT__": dep_stmt,
         "__COMPLETION_TAIL__": completion_tail,
         "__JITTER_EXPR__": jitter_expr,
         "__FETCH_WIDTH__": str(decision.fetch_width),
@@ -1418,69 +1089,19 @@ def generate_engine_source(decision: SpecializationDecision) -> str:
         ),
         "__RETIRE_WIDTH__": str(decision.retire_width),
         "__ROB_ENTRIES__": str(decision.rob_entries),
-        "__BTB_MISS_PENALTY__": str(decision.btb_miss_penalty),
-        "__EARLY_RESTEER_PENALTY__": str(decision.early_resteer_penalty),
         "__RESTEER_PENALTY__": str(decision.resteer_penalty),
+        "__TAGE_BIND__": _render(_tage_bind_lines(g), 4),
+        "__BTB_PROBE__": _render(_btb_probe_lines(decision), 12),
+        "__TAGE_SCAN__": _render(_scan_lines(g), 12),
+        "__TAGE_COMMIT__": _render(_commit_lines(g), 16),
+        "__MISPREDICT_FLUSH__": _render(mispredict_flush, 16),
+        "__MISPREDICT_RELOAD__": _render(_hist_reload_lines(g), 16),
+        "__WRONG_PATH_FETCH__": wrong_path_fetch,
+        "__PENDING_REPAIRS__": pending_repairs,
+        "__FINAL_RECOVER__": _render(_final_recover_lines(g), 12),
+        "__TAGE_FLUSH__": _render(epilogue_flush, 4),
     }
-    if decision.template == "tage":
-        g = decision.tage
-        if g is None:
-            raise SpecializationError(
-                "tage template selected without TAGE geometry"
-            )
-        mispredict_flush = _hist_flush_lines(g)
-        mispredict_flush.append("baseline._use_alt = use_alt")
-        epilogue_flush = _hist_flush_lines(g)
-        epilogue_flush.append("baseline._use_alt = use_alt")
-        epilogue_flush.append("baseline._updates_since_reset = usr")
-        if decision.has_loads and decision.has_hierarchy:
-            substitutions["__HIER_BIND__"] = _render(
-                [
-                    "hier_load = model.hierarchy.load_latency",
-                    "l1 = model.hierarchy.l1",
-                    "l1_sets = l1._sets",
-                    "l1_tick = l1._tick",
-                    "d_l1_hits = 0",
-                ],
-                4,
-            )
-            epilogue_flush.append("l1._tick = l1_tick")
-            epilogue_flush.append("l1.hits += d_l1_hits")
-        substitutions["__LOAD_PREP__"] = _render(
-            _load_prep_lines(decision, inline_l1=True), 8
-        )
-        if decision.has_loads:
-            dep_stmt = _render(
-                [
-                    "if load_latency and record.depends_on_load:",
-                    "    resolve_cycle += load_latency",
-                ],
-                8,
-            )
-        else:
-            dep_stmt = "pass"
-        substitutions["__DEP_STMT__"] = dep_stmt
-        if decision.wrong_path:
-            wrong_path_fetch = _render(_episode_fetch_lines(decision, g), 12)
-            pending_repairs = _render(_pending_repair_lines(g), 12)
-        else:
-            wrong_path_fetch = "pass"
-            pending_repairs = "pass"
-        substitutions.update(
-            {
-                "__TAGE_BIND__": _render(_tage_bind_lines(g), 4),
-                "__BTB_PROBE__": _render(_btb_probe_lines(decision), 12),
-                "__TAGE_SCAN__": _render(_scan_lines(g), 12),
-                "__TAGE_COMMIT__": _render(_commit_lines(g), 16),
-                "__MISPREDICT_FLUSH__": _render(mispredict_flush, 16),
-                "__MISPREDICT_RELOAD__": _render(_hist_reload_lines(g), 16),
-                "__WRONG_PATH_FETCH__": wrong_path_fetch,
-                "__PENDING_REPAIRS__": pending_repairs,
-                "__FINAL_RECOVER__": _render(_final_recover_lines(g), 12),
-                "__TAGE_FLUSH__": _render(epilogue_flush, 4),
-            }
-        )
-    source = template
+    source = TAGE_STEP_TEMPLATE
     for placeholder, value in substitutions.items():
         source = source.replace(placeholder, value)
     if "__" in source.replace("__init__", ""):
@@ -1503,7 +1124,6 @@ def _compile_engine(source: str, key: str) -> StepFn:
     namespace: dict[str, object] = {
         "COND": BranchKind.COND,
         "InflightBranch": InflightBranch,
-        "HistoryCheckpoint": HistoryCheckpoint,
         "SimulationError": SimulationError,
         "GuardTripped": GuardTripped,
     }
@@ -1588,6 +1208,7 @@ _CHECKPOINT_EXCLUDE = frozenset(
         "_base_spec_push",
         "_btb_lookup",
         "_btb_install",
+        "_fused_resolve",
     }
 )
 

@@ -46,11 +46,11 @@ class GlobalPredictor(abc.ABC):
 
     #: True when ``lookup`` has no side effects on predictor or history
     #: state, so calling it twice for the same pc (with no state change
-    #: in between) returns an identical prediction.  The specialized
-    #: engines (:mod:`repro.pipeline.specialize`) rely on this to retry
-    #: the generic predict path after :meth:`spec_resolve_correct`
-    #: declines; predictors that cannot promise it are simply never
-    #: specialized.
+    #: in between) returns an identical prediction.  The generic engine
+    #: (:class:`~repro.pipeline.core.PipelineModel`) relies on this to
+    #: re-run the full predict path after :meth:`spec_resolve_correct`
+    #: declines; predictors that cannot promise it always take the full
+    #: path, and are never specialized either.
     pure_lookup: bool = False
 
     def __init__(self, history: GlobalHistory | None = None) -> None:
@@ -103,7 +103,7 @@ class GlobalPredictor(abc.ABC):
         self.train(prediction, taken)
 
     def spec_resolve_correct(self, pc: int, taken: bool) -> bool:
-        """Fused correct-path step for the specialized engines.
+        """Fused correct-path step of the generic engine.
 
         Equivalent to the committed-stream sequence ``lookup`` →
         ``checkpoint`` (dropped unused) → ``spec_push(pc, predicted)`` →
@@ -115,8 +115,9 @@ class GlobalPredictor(abc.ABC):
         prediction) and takes its misprediction episode.
 
         Only meaningful for predictors with default ``checkpoint`` /
-        ``spec_push`` behaviour and :attr:`pure_lookup` True; the
-        specialization planner checks both before using it.
+        ``spec_push`` behaviour and :attr:`pure_lookup` True;
+        :class:`~repro.pipeline.core.PipelineModel` checks both (and
+        that the system has no local unit) before using it.
         """
         prediction = self.lookup(pc)
         if prediction.taken != taken:

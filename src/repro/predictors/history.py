@@ -38,8 +38,9 @@ class FoldedHistory:
     A standalone fold stores its own value; once registered on a
     :class:`GlobalHistory` the value lives in the owner's flat
     ``fold_comps`` list (so push/checkpoint/restore touch one list
-    instead of N objects) and :attr:`comp` becomes a view onto that
-    slot.  Either way ``fold.comp`` reads and writes stay correct.
+    instead of N objects) and :attr:`comp` becomes a view onto slot
+    :attr:`slot` of it, which folds that always hold the same value
+    share.  Either way ``fold.comp`` reads and writes stay correct.
     """
 
     __slots__ = (
@@ -62,6 +63,11 @@ class FoldedHistory:
         self._mask = (1 << compressed_length) - 1
         self._owner: list[int] | None = None
         self._slot = 0
+
+    @property
+    def slot(self) -> int:
+        """Index of this fold's value in the owner's ``fold_comps``."""
+        return self._slot
 
     @property
     def comp(self) -> int:
@@ -105,10 +111,10 @@ class FoldedHistory:
 class HistoryCheckpoint:
     """Pre-update snapshot carried by each in-flight branch.
 
-    ``folds`` is a flat list (one entry per registered fold, in
-    registration order) copied straight from the owner's live fold
-    state — a single C-level ``list.copy`` per branch instead of a
-    per-fold generator walk.
+    ``folds`` is a flat list (one entry per distinct fold register,
+    indexed by slot) copied straight from the owner's live fold state —
+    a single C-level ``list.copy`` per branch instead of a per-fold
+    generator walk.
     """
 
     ghist: int
@@ -121,9 +127,10 @@ class GlobalHistory:
 
     Folded histories are registered by predictors (one or more per TAGE
     table) and kept in sync on every push/restore.  The live fold values
-    are mirrored in :attr:`fold_comps`, a flat list indexed by
-    registration order, so the per-branch checkpoint is one list copy
-    and predictors can read fold state by slot without attribute chains.
+    are mirrored in :attr:`fold_comps`, a flat list with one slot per
+    distinct fold register, so the per-branch checkpoint is one list
+    copy and predictors can read fold state by slot without attribute
+    chains.
     """
 
     __slots__ = (
@@ -132,7 +139,7 @@ class GlobalHistory:
         "max_length",
         "path_bits",
         "fold_comps",
-        "_folds",
+        "_slots",
         "_fold_params",
         "_ghist_mask",
         "_phist_mask",
@@ -145,11 +152,14 @@ class GlobalHistory:
         self.phist = 0
         self.max_length = max_length
         self.path_bits = path_bits
-        self._folds: list[FoldedHistory] = []
-        #: Live fold values, one per registered fold in registration
-        #: order (registered folds' ``comp`` views read this list).
+        #: Live fold values, one per distinct fold register in order of
+        #: first registration (registered folds' ``comp`` views read
+        #: this list).
         self.fold_comps: list[int] = []
-        #: Per-fold constants (slot, original_length, outpoint,
+        #: Slot of each distinct register, keyed by the fold's
+        #: (original_length, effective width); see :meth:`register_fold`.
+        self._slots: dict[tuple[int, int], int] = {}
+        #: Per-register constants (slot, original_length, outpoint,
         #: compressed_length, mask) unpacked in the push loop.
         self._fold_params: list[tuple[int, int, int, int, int]] = []
         # Keep one spare bit above max_length so folds can observe the
@@ -160,30 +170,30 @@ class GlobalHistory:
     def register_fold(self, fold: FoldedHistory) -> FoldedHistory:
         """Attach a folded history; it will track future pushes.
 
-        Returns the fold; its slot in :attr:`fold_comps` is
-        ``len(fold_comps) - 1`` at return time.
+        Folds that always hold the same value share one register (one
+        slot of :attr:`fold_comps`, updated once per push): folds with
+        equal ``(original_length, compressed_length)``, and every fold
+        no wider than its compressed length, which holds the low
+        ``original_length`` bits of GHIST whatever its width.  Returns
+        the fold; its slot is :attr:`FoldedHistory.slot`.
         """
-        if fold.original_length > self.max_length:
+        olen = fold.original_length
+        if olen > self.max_length:
             raise ConfigError(
-                f"fold window {fold.original_length} exceeds max history "
-                f"{self.max_length}"
+                f"fold window {olen} exceeds max history {self.max_length}"
             )
-        self._folds.append(fold)
-        fold.rebuild(self.ghist)
+        key = (olen, min(olen, fold.compressed_length))
         comps = self.fold_comps
-        slot = len(comps)
-        comps.append(fold.comp)
+        slot = self._slots.get(key)
+        if slot is None:
+            fold.rebuild(self.ghist)
+            slot = self._slots[key] = len(comps)
+            comps.append(fold.comp)
+            self._fold_params.append(
+                (slot, olen, fold._outpoint, fold.compressed_length, fold._mask)
+            )
         fold._owner = comps
         fold._slot = slot
-        self._fold_params.append(
-            (
-                slot,
-                fold.original_length,
-                fold._outpoint,
-                fold.compressed_length,
-                fold._mask,
-            )
-        )
         return fold
 
     def checkpoint(self) -> HistoryCheckpoint:
@@ -208,10 +218,8 @@ class GlobalHistory:
         bit = ghist & 1
         comps = self.fold_comps
         for slot, olen, outpoint, clen, cmask in self._fold_params:
-            comp = (comps[slot] << 1) | bit
-            comp ^= ((ghist >> olen) & 1) << outpoint
-            comp ^= comp >> clen
-            comps[slot] = comp & cmask
+            comp = ((comps[slot] << 1) | bit) ^ (((ghist >> olen) & 1) << outpoint)
+            comps[slot] = (comp ^ (comp >> clen)) & cmask
 
     def restore(self, ckpt: HistoryCheckpoint) -> None:
         """Rewind to a carried checkpoint (misprediction recovery)."""

@@ -171,7 +171,7 @@ class TagePredictor(GlobalPredictor):
     """
 
     #: ``lookup`` only reads table/history state (see the provider scan)
-    #: — the specialized engines depend on this to re-run it after a
+    #: — the generic engine depends on this to re-run it after a
     #: declined :meth:`spec_resolve_correct`.
     pure_lookup = True
 
@@ -188,55 +188,37 @@ class TagePredictor(GlobalPredictor):
         self._ctr: list[list[int]] = []
         self._tag: list[list[int]] = []
         self._u: list[list[int]] = []
-        self._index_folds: list[FoldedHistory] = []
-        self._tag_folds0: list[FoldedHistory] = []
-        self._tag_folds1: list[FoldedHistory] = []
-        self._index_masks: list[int] = []
-        self._tag_masks: list[int] = []
         #: Flat per-table constants consumed by the lookup loop:
         #: (log, path_mask, pc_shift, index_slot, tag0_slot, tag1_slot,
         #: index_mask, tag_mask), where the slots index the history's
-        #: ``fold_comps`` flat list.
+        #: ``fold_comps`` flat list (folds holding equal values share a
+        #: slot, so each table reads its folds' own slots).
         self._lookup_params: list[
             tuple[int, int, int, int, int, int, int, int]
         ] = []
-        fold_comps = self.history.fold_comps
+        register = self.history.register_fold
         for t, table in enumerate(config.tables):
             entries = table.entries
             self._ctr.append([0] * entries)  # signed: -4..3 (3-bit)
             self._tag.append([0] * entries)
             self._u.append([0] * entries)
-            self._index_masks.append(entries - 1)
-            self._tag_masks.append((1 << table.tag_bits) - 1)
-            self._index_folds.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, table.log_entries)
-                )
-            )
-            index_slot = len(fold_comps) - 1
-            self._tag_folds0.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, table.tag_bits)
-                )
-            )
-            self._tag_folds1.append(
-                self.history.register_fold(
-                    FoldedHistory(table.history_length, max(table.tag_bits - 1, 1))
-                )
-            )
+            length = table.history_length
+            index_fold = register(FoldedHistory(length, table.log_entries))
+            tag_fold0 = register(FoldedHistory(length, table.tag_bits))
+            tag_fold1 = register(FoldedHistory(length, max(table.tag_bits - 1, 1)))
             self._lookup_params.append(
                 (
                     table.log_entries,
-                    (1 << min(table.history_length, 16)) - 1,
+                    (1 << min(length, 16)) - 1,
                     table.log_entries - (t % 3) - 1,
-                    index_slot,
-                    index_slot + 1,
-                    index_slot + 2,
+                    index_fold.slot,
+                    tag_fold0.slot,
+                    tag_fold1.slot,
                     entries - 1,
                     (1 << table.tag_bits) - 1,
                 )
             )
-        self._fold_comps = fold_comps
+        self._fold_comps = self.history.fold_comps
 
         self._ctr_max = (1 << (config.counter_bits - 1)) - 1
         self._ctr_min = -(1 << (config.counter_bits - 1))
@@ -255,32 +237,15 @@ class TagePredictor(GlobalPredictor):
         self._rng_state = (self._rng_state * 1664525 + 1013904223) & 0xFFFFFFFF
         return self._rng_state >> 16
 
-    def _table_index(self, pc: int, table: int) -> int:
-        cfg = self.config.tables[table]
-        log = cfg.log_entries
-        folded = self._index_folds[table].comp
-        path = self.history.phist & ((1 << min(cfg.history_length, 16)) - 1)
-        path ^= path >> log
-        pc_bits = pc >> 2
-        index = pc_bits ^ (pc_bits >> (log - (table % 3) - 1)) ^ folded ^ path
-        return index & self._index_masks[table]
-
-    def _table_tag(self, pc: int, table: int) -> int:
-        return (
-            (pc >> 2)
-            ^ self._tag_folds0[table].comp
-            ^ (self._tag_folds1[table].comp << 1)
-        ) & self._tag_masks[table]
-
     # ----------------------------------------------------------------- #
     # prediction
 
     def lookup(self, pc: int) -> Prediction:
         n = self._n_tables
-        # Inlined _table_index/_table_tag fused with the provider scan:
-        # one top-down pass over flat per-table constants, reading fold
-        # state by slot from the history's flat list.  Hashing stops as
-        # soon as the alternate provider is found — entries below it are
+        # Index/tag hashing fused with the provider scan: one top-down
+        # pass over flat per-table constants, reading fold state by slot
+        # from the history's flat list.  Hashing stops as soon as the
+        # alternate provider is found — entries below it are
         # never consulted by prediction, training, or allocation, so
         # their slots legitimately stay zero.
         comps = self._fold_comps

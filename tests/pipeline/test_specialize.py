@@ -90,8 +90,15 @@ class TestBitIdentity:
         records = _records(n=3000)
         generic, specialized, info = _run_both(system, records)
         assert specialized == generic
-        assert info["engine"] == "specialized"
-        assert info["specialized_branches"] == 2000
+        if system == "baseline-tage":
+            assert info["engine"] == "specialized"
+            assert info["specialized_branches"] == 2000
+        else:
+            # Local-unit systems have no template: they decline with a
+            # reason and finish on the generic engine.
+            assert info["engine"] == "generic"
+            assert info["reason"] == "local unit present"
+            assert info["specialized_branches"] == 0
 
     def test_random_systems_on_synthetic_traces(self):
         # Property-style sweep: seeded random (system, trace) pairings,
@@ -185,12 +192,13 @@ class TestPlanning:
         assert decision.template == "tage"
         assert decision.tage is not None
 
-    def test_unit_system_gets_unit_template(self):
+    def test_unit_system_declines(self):
         records = _records(n=1200)
-        decision, _ = plan_specialization(
+        decision, reason = plan_specialization(
             _model("forward-walk-coalesce"), records, 1000
         )
-        assert decision.template == "unit"
+        assert decision is None
+        assert reason == "local unit present"
 
     def test_impure_lookup_predictor_declines(self):
         # Spec-string table predictors train inside lookup; the planner
@@ -275,13 +283,8 @@ class TestGeneratedSource:
     def _decisions(self):
         records = _records(n=1200)
         tage, _ = plan_specialization(_model("baseline-tage"), records, 1000)
-        unit, _ = plan_specialization(
-            _model("forward-walk-coalesce"), records, 1000
-        )
-        # No stock system plans "nounit" today (pure-lookup non-TAGE
-        # predictors), so exercise its emitter directly.
-        nounit = replace(tage, template="nounit", tage=None)
-        return [tage, unit, nounit]
+        no_loads = replace(tage, has_loads=False)
+        return [tage, no_loads]
 
     def test_all_templates_generate_parseable_source(self):
         import ast

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) for core data structures."""
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bht import BhtConfig, BranchHistoryTable
@@ -81,6 +81,43 @@ def test_history_checkpoint_restore_identity(pushes, cut):
         history.push(pc, taken)
     history.restore(ckpt)
     assert (history.ghist, history.phist, fold.comp) == saved
+
+
+_history_ops = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 2**16), st.booleans()),
+    st.just(("checkpoint",)),
+    st.just(("restore",)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 24), st.integers(1, 12)), max_size=6),
+    st.lists(_history_ops, max_size=150),
+)
+def test_shared_fold_registers_track_ghist(shapes, ops):
+    # Folds holding equal values share a register: equal shapes, and
+    # any fold no wider than its compressed length ((4, 4) and (4, 9)
+    # both hold the low four GHIST bits; (4, 3) folds and shares with
+    # neither).  Each shape is registered twice, so sharing always
+    # occurs, next to shapes that share nothing.
+    shapes = [(4, 4), (4, 9), (4, 3), (12, 5)] + shapes
+    history = GlobalHistory(max_length=32)
+    folds = [history.register_fold(FoldedHistory(o, c)) for o, c in shapes * 2]
+    registers = {(o, min(o, c)) for o, c in shapes}
+    saved = []
+    for op in ops:
+        if op[0] == "push":
+            history.push(op[1], op[2])
+        elif op[0] == "checkpoint":
+            saved.append(history.checkpoint())
+        elif saved:
+            history.restore(saved.pop())
+        for fold in folds:
+            reference = FoldedHistory(fold.original_length, fold.compressed_length)
+            reference.rebuild(history.ghist)
+            assert fold.comp == reference.comp
+    assert len(history.checkpoint().folds) == len(registers)
 
 
 # --------------------------------------------------------------------- #
