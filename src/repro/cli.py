@@ -20,7 +20,7 @@ import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ReproError
 from repro.harness.report import format_table
 from repro.harness.runner import RunResult, run_single
 from repro.harness.sampling import SamplingConfig
@@ -114,16 +114,9 @@ def _add_specialize_arg(parser: argparse.ArgumentParser) -> None:
         "--specialize",
         action="store_true",
         help="run exact simulations through the trace-guided codegen "
-        "fast path (bit-identical; REPRO_SPECIALIZE=on/off overrides; "
-        "sampling and --telemetry force the generic engine)",
+        "fast path (bit-identical; sampling and --telemetry force the "
+        "generic engine)",
     )
-
-
-def _specialize_resolved(args: argparse.Namespace) -> bool:
-    """The --specialize flag composed with REPRO_SPECIALIZE."""
-    from repro.harness.specialize import specialize_enabled
-
-    return specialize_enabled(True if getattr(args, "specialize", False) else None)
 
 
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
@@ -195,8 +188,10 @@ def _print_sampling_note(result: RunResult) -> None:
     print(note)
 
 
-def _print_specialize_note(result: RunResult) -> None:
+def _print_engine_note(result: RunResult) -> None:
     manifest = result.manifest or {}
+    for request, why in manifest.get("declined", {}).items():
+        print(f"{'':24s} {request} declined: {why}")
     info = manifest.get("specialize")
     if not info:
         return
@@ -223,11 +218,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.branches,
             use_result_cache=_cache_override(args),
             sampling=_sampling_config(args),
-            specialize=_specialize_resolved(args),
+            specialize=args.specialize,
         )
     _print_run(system.name, result)
     _print_sampling_note(result)
-    _print_specialize_note(result)
+    _print_engine_note(result)
     repair = result.extra.get("repair")
     if repair:
         print(
@@ -253,7 +248,7 @@ def _compare_results(
 ) -> list[RunResult]:
     """One run per Table 3 system, fanning out when --workers asks."""
     sampling = _sampling_config(args)
-    specialize = _specialize_resolved(args)
+    specialize = args.specialize
     if args.workers is not None and args.workers > 1 and not args.telemetry:
         # Plumb the request through the runner's REPRO_WORKERS contract
         # so nested sweeps (and worker processes) see the same setting.
@@ -331,12 +326,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.scale import Scale
 
     sampling = _sampling_config(args)
-    if args.batch and sampling is not None:
-        raise ConfigError(
-            "--batch and --sample are mutually exclusive: the batch sweep "
-            "kernel computes exact predictions over the full trace, while "
-            "sampling simulates only selected intervals — pick one"
-        )
     if args.workers is not None and args.workers > 1:
         os.environ["REPRO_WORKERS"] = str(args.workers)
     scale = Scale(
@@ -366,8 +355,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         use_result_cache=_cache_override(args),
         sampling=sampling,
         shard=shard,
-        batch=True if args.batch else None,
-        specialize=True if args.specialize else None,
+        batch=args.batch,
+        specialize=args.specialize,
     )
     # Batch-kernel results are functional-only: no cycles, so no IPC.
     rows = [
@@ -689,9 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch",
         action="store_true",
         help="evaluate table-indexed predictor configs (bimodal:N, "
-        "gshare:N:H, local2l:B:H:P) with the vectorised batch kernel "
-        "when 4+ share a workload; exact MPKI, no pipeline timing "
-        "(REPRO_BATCH=on/off overrides)",
+        "gshare:N:H, local2l:B:H:P) with the vectorised batch kernel; "
+        "exact MPKI, no pipeline timing",
     )
     _add_sampling_args(p_sweep)
     _add_specialize_arg(p_sweep)
@@ -885,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--executor",
-        choices=("inline", "pool", "sharded"),
+        choices=("inline", "pool"),
         default="inline",
         help="execution strategy for fresh simulations (default inline)",
     )

@@ -1,20 +1,14 @@
-"""Batch-sweep policy and executor: when and how the kernel engages.
+"""Batch-sweep executor: how batch jobs reach the kernel.
 
 The kernel itself (:mod:`repro.pipeline.batch`) is pure — it takes a
-columnar trace and predictor specs and returns predictions.  Everything
-environmental lives here:
-
-* :func:`batch_enabled` — the ``REPRO_BATCH`` gate composed with the
-  explicit ``--batch`` flag (env ``off`` always wins, env ``on``
-  auto-enables sweeps that never passed the flag);
-* :func:`mark_batch_jobs` — plan-time grouping: jobs the kernel
-  supports (table-indexed predictor, no sampling) are marked when at
-  least :data:`BATCH_MIN_CONFIGS` of them share one workload, so the
-  fixed cost of building index streams amortises;
-* :class:`BatchExecutor` — an :class:`~repro.harness.executors.Executor`
-  wrapper that runs each marked group through the kernel once (one
-  trace materialisation, one pass) and forwards every unmarked job to
-  its inner executor unchanged, preserving result order.
+columnar trace and predictor specs and returns predictions.  Which jobs
+run on it is decided per job by
+:func:`~repro.harness.scheduler.select_engine` (a table-indexed
+predictor under a ``batch`` request).  :class:`BatchExecutor` is an
+:class:`~repro.harness.executors.Executor` wrapper that runs each
+workload's batch jobs through the kernel once (one trace
+materialisation, one pass) and forwards every other job to its inner
+executor unchanged, preserving result order.
 
 Batch results are *functional*: exact predictions, mispredictions and
 MPKI, but no pipeline timing — ``ipc`` is 0.0 and ``cycles`` 0, and the
@@ -24,12 +18,11 @@ manifest (and therefore the result-cache key) carries ``engine:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
-from dataclasses import replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Sequence
 
+from repro.errors import ConfigError
 from repro.harness.executors import Executor, InlineExecutor
 from repro.harness.result_cache import active_cache
 from repro.harness.systems import table_predictor_spec
@@ -41,87 +34,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import RunResult
     from repro.harness.scheduler import SimJob
 
-__all__ = [
-    "BATCH_ENV",
-    "BATCH_MIN_CONFIGS",
-    "batch_enabled",
-    "mark_batch_jobs",
-    "BatchExecutor",
-]
-
-#: Gate for the batch sweep kernel: ``on``/``1`` auto-enables batching
-#: for every eligible sweep, ``off``/``0`` forces it off even when
-#: ``--batch`` was passed, unset defers to the explicit flag.
-BATCH_ENV = "REPRO_BATCH"
-
-_OFF_VALUES = ("off", "0", "none", "false")
-_ON_VALUES = ("on", "1", "true", "yes")
-
-#: Minimum table-indexed configs sharing a workload before the batch
-#: kernel engages; below this the per-sweep fixed costs (index-stream
-#: builds, sort buffers) are not reliably worth it.
-BATCH_MIN_CONFIGS = 4
-
-
-def batch_enabled(explicit: bool | None = None) -> bool:
-    """Resolve the batch gate from the flag and ``REPRO_BATCH``.
-
-    ``explicit`` is the tri-state flag value: True (``--batch``), False
-    (caller forcing off), None (not specified).  The environment can
-    veto (``off``) or volunteer (``on``); it never overrides an
-    explicit False.
-    """
-    value = os.environ.get(BATCH_ENV)
-    normalized = value.strip().lower() if value is not None else None
-    if normalized in _OFF_VALUES:
-        return False
-    if explicit is not None:
-        return explicit
-    return normalized in _ON_VALUES
-
-
-def mark_batch_jobs(jobs: "Sequence[SimJob]") -> "list[SimJob]":
-    """Mark kernel-supported jobs that group well, leave the rest alone.
-
-    A job is *eligible* when its system is a bare table-indexed
-    predictor (see :func:`~repro.harness.systems.table_predictor_spec`)
-    and it is not sampled — the kernel is exact-functional, and a
-    sampled estimate is neither.  Eligible jobs are grouped per
-    workload trace and marked only when the group reaches
-    :data:`BATCH_MIN_CONFIGS`; everything else (TAGE, repair schemes,
-    sampled runs, small groups) keeps ``batch=False`` and runs on the
-    exact engine.
-    """
-    groups: dict[tuple[str, int, int], list[int]] = {}
-    for index, job in enumerate(jobs):
-        if job.sampling is not None and job.sampling.enabled:
-            continue
-        if table_predictor_spec(job.system) is None:
-            continue
-        key = (job.spec.name, job.spec.seed, job.n_branches)
-        groups.setdefault(key, []).append(index)
-    marked = list(jobs)
-    for indices in groups.values():
-        if len(indices) < BATCH_MIN_CONFIGS:
-            continue
-        for index in indices:
-            marked[index] = replace(marked[index], batch=True)
-    return marked
+__all__ = ["BatchExecutor"]
 
 
 class BatchExecutor(Executor):
-    """Routes batch-marked jobs through the kernel, the rest inward.
+    """Routes batch jobs through the kernel, the rest inward.
 
-    Marked jobs are grouped by workload trace; each group pays one
+    Batch jobs are grouped by workload trace; each group pays one
     trace materialisation and one kernel pass for *all* its configs,
     with per-job result-cache load/store exactly like the scalar path
     (cached jobs are answered without touching the trace at all).
-    Unmarked jobs go to ``inner`` — so one sweep can batch its
+    Other jobs go to ``inner`` — so one sweep can batch its
     table-predictor sizings while its TAGE rows fan out over the
     process pool, composing with shared-memory traces and sharding.
     """
-
-    name = "batch"
 
     def __init__(
         self, inner: Executor | None = None, interval: int = DEFAULT_INTERVAL
@@ -140,7 +66,7 @@ class BatchExecutor(Executor):
         )
         forwarded: "list[tuple[int, SimJob]]" = []
         for index, job in enumerate(jobs):
-            if job.batch and table_predictor_spec(job.system) is not None:
+            if job.engine.kind == "batch":
                 key = (job.spec.name, job.spec.seed, job.n_branches)
                 groups.setdefault(key, []).append((index, job))
             else:
@@ -196,12 +122,17 @@ class BatchExecutor(Executor):
                 misses.append(index)
         if misses:
             trace = self._materialise_trace(jobs[misses[0]])
-            specs = [table_predictor_spec(jobs[i].system) for i in misses]
-            assert all(spec is not None for spec in specs)
+            specs = []
+            for index in misses:
+                spec = table_predictor_spec(jobs[index].system)
+                if spec is None:
+                    raise ConfigError(
+                        f"batch engine needs a table predictor, got "
+                        f"{jobs[index].system.name!r}"
+                    )
+                specs.append(spec)
             t0 = perf_counter()
-            batch = run_batch(
-                trace, [spec for spec in specs if spec is not None], self.interval
-            )
+            batch = run_batch(trace, specs, self.interval)
             wall = perf_counter() - t0
             registry = TELEMETRY.registry
             registry.counter("sched.batch_groups").inc()
@@ -237,7 +168,6 @@ class BatchExecutor(Executor):
             extra={
                 "batch": {
                     "engine": "columnar",
-                    "configs": len(batch.specs),
                     "interval": self.interval,
                     "cond_branches": batch.cond_branches,
                     "taken_branches": batch.taken_branches,

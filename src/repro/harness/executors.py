@@ -2,7 +2,7 @@
 
 The :class:`~repro.harness.scheduler.Scheduler` plans *what* to
 simulate (a list of :class:`~repro.harness.scheduler.SimJob`); an
-executor decides *where*.  Three strategies ship:
+executor decides *where*.  Two strategies ship:
 
 * :class:`InlineExecutor` — sequential, in this process.  Identical to
   a hand-written ``run_single`` loop: same trace memoization, same
@@ -12,13 +12,6 @@ executor decides *where*.  Three strategies ship:
   processes.  Jobs carry optional shared-memory trace refs published by
   the scheduler so workers do zero trace decodes (see
   :mod:`repro.trace.columns`).
-* :class:`ShardedExecutor` — a *stub* remote executor: partitions the
-  job list into N deterministic shards with
-  :func:`~repro.harness.runner.shard_bounds` — exactly the contract of
-  ``repro sweep --shard K/N`` — and dispatches each shard to an inner
-  executor standing in for one remote host.  Replacing that inner
-  executor with an SSH/HTTP transport is the multi-host growth path;
-  the partitioning, ordering, and merge semantics are already final.
 
 Executors are deliberately dumb: no cache checks, no trace
 pre-generation, no telemetry policy — the scheduler owns all of that.
@@ -27,33 +20,21 @@ pre-generation, no telemetry policy — the scheduler owns all of that.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING, Sequence
-
-from repro.telemetry import TELEMETRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import RunResult
     from repro.harness.scheduler import SimJob
 
-__all__ = [
-    "Executor",
-    "InlineExecutor",
-    "ProcessPoolExecutorBackend",
-    "ShardedExecutor",
-]
+__all__ = ["Executor", "InlineExecutor", "ProcessPoolExecutorBackend"]
 
 
 class Executor(ABC):
     """One strategy for executing a planned list of jobs, in order."""
 
-    #: Short identifier used in logs, telemetry, and the service API.
-    name: str = "abstract"
-
     #: Whether the scheduler should pre-generate traces and publish
     #: them to shared memory before calling :meth:`execute`.  Only the
-    #: local process pool benefits; inline runs memoize in-process and
-    #: remote hosts cannot attach another host's segments.
+    #: local process pool benefits; inline runs memoize in-process.
     wants_shared_traces: bool = False
 
     @abstractmethod
@@ -63,8 +44,6 @@ class Executor(ABC):
 
 class InlineExecutor(Executor):
     """Sequential execution in the calling process."""
-
-    name = "inline"
 
     def execute(self, jobs: "Sequence[SimJob]") -> "list[RunResult]":
         from repro.harness.scheduler import execute_job
@@ -80,7 +59,6 @@ class ProcessPoolExecutorBackend(Executor):
     workload back to back and its trace memo pays one decode per trace.
     """
 
-    name = "pool"
     wants_shared_traces = True
 
     def __init__(self, workers: int, chunksize: int = 1) -> None:
@@ -88,40 +66,12 @@ class ProcessPoolExecutorBackend(Executor):
         self.chunksize = max(1, chunksize)
 
     def execute(self, jobs: "Sequence[SimJob]") -> "list[RunResult]":
+        # Imported here: single runs reach this module through the
+        # scheduler and should not pay for the process-pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         from repro.harness.scheduler import execute_job
 
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
             return list(pool.map(execute_job, jobs, chunksize=self.chunksize))
 
-
-class ShardedExecutor(Executor):
-    """Stub remote executor: deterministic shards, one "host" each.
-
-    Each shard is the contiguous balanced partition ``--shard K/N``
-    would select, so a real remote deployment can swap the inner
-    executor for a transport that runs ``repro sweep --shard K/N`` on
-    host K and ship the results back — ordering and coverage are
-    already guaranteed by :func:`~repro.harness.runner.shard_bounds`.
-    """
-
-    name = "sharded"
-
-    def __init__(self, shards: int, inner: Executor | None = None) -> None:
-        from repro.errors import ConfigError
-
-        if shards < 1:
-            raise ConfigError(f"ShardedExecutor needs shards >= 1, got {shards}")
-        self.shards = shards
-        self.inner = inner if inner is not None else InlineExecutor()
-
-    def execute(self, jobs: "Sequence[SimJob]") -> "list[RunResult]":
-        from repro.harness.runner import shard_bounds
-
-        results: "list[RunResult]" = []
-        for k in range(1, self.shards + 1):
-            start, end = shard_bounds(len(jobs), (k, self.shards))
-            if start == end:
-                continue
-            TELEMETRY.registry.counter("sched.shards_dispatched").inc()
-            results.extend(self.inner.execute(jobs[start:end]))
-        return results

@@ -42,7 +42,13 @@ from typing import Any, Iterator, Sequence
 import repro
 from repro.errors import ExperimentError
 from repro.harness.result_cache import code_fingerprint
-from repro.harness.runner import RunResult, load_trace, run_matrix, run_single
+from repro.harness.runner import (
+    RunResult,
+    build_model,
+    load_trace,
+    run_matrix,
+    run_single,
+)
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
 from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
@@ -294,8 +300,7 @@ def measure_batch(
     the slow side) and once with ``batch=True`` (best of ``repeats``) —
     and reports the wall-clock ratio together with ``mpki_identical``,
     which asserts the kernel's whole point: identical MPKI and
-    misprediction counts, only faster.  Speedup honours the
-    ``REPRO_BATCH`` gate, so a forced-off environment reports ~1x.
+    misprediction counts, only faster.
     """
     from repro.harness.systems import resolve_system
 
@@ -369,12 +374,12 @@ def measure_specialize(
     the speedup together with ``stats_identical`` — the specialized
     engine's whole contract is *identical stats, only faster*, so a
     speedup with non-identical stats is a bug, not a win.  A final
-    forced guard-abort probe (``REPRO_SPECIALIZE_FORCE_ABORT`` midway
-    through the trace) checks that the abort path — restore from the
-    last checkpoint, finish on the generic engine — is bit-identical
-    too, and that the abort counters surfaced in the manifest.
+    forced guard-abort probe (``force_abort_at`` midway through the
+    trace) checks that the abort path — restore from the last
+    checkpoint, finish on the generic engine — is bit-identical too,
+    and that run_specialized reports the abort.
     """
-    from repro.harness.specialize import SPECIALIZE_FORCE_ABORT_ENV
+    from repro.pipeline.specialize import run_specialized
 
     load_trace(spec, n_branches)
     rows: dict[str, Any] = {}
@@ -410,28 +415,19 @@ def measure_specialize(
     abort: dict[str, Any] | None = None
     if systems:
         system = systems[0]
-        generic = run_single(spec, system, n_branches, use_result_cache=False)
-        old = os.environ.get(SPECIALIZE_FORCE_ABORT_ENV)
-        os.environ[SPECIALIZE_FORCE_ABORT_ENV] = str(n_branches // 2)
-        try:
-            aborted = run_single(
-                spec, system, n_branches, use_result_cache=False, specialize=True
-            )
-        finally:
-            if old is None:
-                os.environ.pop(SPECIALIZE_FORCE_ABORT_ENV, None)
-            else:
-                os.environ[SPECIALIZE_FORCE_ABORT_ENV] = old
-        assert aborted.manifest is not None
-        info = dict(aborted.manifest.get("specialize", {}))
+        records = load_trace(spec, n_branches)
+        generic_stats = build_model(system).run(records)
+        aborted, probe = run_specialized(
+            build_model(system), records, force_abort_at=n_branches // 2
+        )
         abort = {
             "system": system.name,
             "forced_at": n_branches // 2,
-            "aborted": info.get("aborted"),
-            "guard": info.get("guard"),
-            "guards_failed": info.get("guards_failed"),
-            "aborts": info.get("aborts"),
-            "stats_identical": _stats_identical(generic, aborted),
+            "aborted": probe["aborted"],
+            "guard": probe["guard"],
+            "guards_failed": probe["guards_failed"],
+            "aborts": probe["aborts"],
+            "stats_identical": aborted == generic_stats,
         }
     return {
         "workload": spec.name,

@@ -19,13 +19,13 @@ from repro.errors import ConfigError, TraceError
 from repro.harness.result_cache import active_cache
 from repro.harness.sampling import SamplingConfig, run_sampled
 from repro.harness.scale import Scale
+from repro.harness.scheduler import SimJob, select_engine
 from repro.harness.systems import SystemConfig, build_system
 from repro.memory.hierarchy import CacheHierarchy
 from repro.metrics.aggregate import WorkloadResult
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelineModel
 from repro.telemetry import TELEMETRY
-from repro.telemetry.manifest import build_manifest
 from repro.trace.columns import SharedTrace
 from repro.trace.io import read_trace, write_trace
 from repro.trace.records import BranchRecord
@@ -238,6 +238,19 @@ def load_trace(spec: WorkloadSpec, n_branches: int) -> list[BranchRecord]:
     return records
 
 
+def build_model(
+    system: SystemConfig, pipeline: PipelineConfig | None = None
+) -> PipelineModel:
+    """A fresh detailed model of ``system``, as every scalar engine runs it."""
+    baseline, unit = build_system(system)
+    return PipelineModel(
+        baseline,
+        unit=unit,
+        config=pipeline if pipeline is not None else PipelineConfig(),
+        hierarchy=CacheHierarchy(),
+    )
+
+
 def run_single(
     spec: WorkloadSpec,
     system: SystemConfig,
@@ -252,96 +265,88 @@ def run_single(
     When the persistent result cache is active (``REPRO_RESULT_CACHE``,
     or ``use_result_cache=True``) and holds a result for this exact
     (system, pipeline, workload recipe, trace length, code version,
-    sampling configuration), that result is returned without loading
-    the trace or simulating.
+    engine), that result is returned without loading the trace or
+    simulating.
 
     ``sampling`` selects the sampled two-speed engine
     (:func:`repro.harness.sampling.run_sampled`); ``None`` or a config
-    with ``mode="off"`` runs the exact simulation, bit-identically to
-    runs made before sampling existed.
-
-    ``specialize`` requests the trace-guided codegen fast path
-    (:func:`repro.pipeline.specialize.run_specialized`) — bit-identical
-    to the generic exact engine by construction.  Sampling and active
-    telemetry force the generic engine: a sampled estimate is not an
-    exact run, and specialized code elides the telemetry hooks.  A
-    specialization-requested exact run carries an ``engine`` manifest
-    tag (folded into ``config_hash``), and the decision the planner
-    actually took is attached under ``manifest["specialize"]`` after
-    hashing.
+    with ``mode="off"`` runs the exact simulation.  ``specialize``
+    requests the trace-guided codegen fast path
+    (:func:`repro.pipeline.specialize.run_specialized`), bit-identical
+    to the generic exact engine.  The engine is chosen by
+    :func:`~repro.harness.scheduler.select_engine`; requests it declines
+    are listed under ``manifest["declined"]``.
     """
-    pipeline_cfg = pipeline if pipeline is not None else PipelineConfig()
-    tel = TELEMETRY
-    use_specialize = (
-        specialize
-        and not (sampling is not None and sampling.enabled)
-        and not tel.enabled
+    engine, declined = select_engine(
+        system,
+        sampling=sampling,
+        batch=False,
+        specialize=specialize,
+        telemetry=TELEMETRY.enabled,
     )
-    engine_tag = None
-    if use_specialize:
-        from repro.harness.specialize import specialize_engine_tag
-
-        engine_tag = specialize_engine_tag()
-    manifest = build_manifest(
-        spec, system, n_branches, pipeline_cfg, sampling=sampling,
-        engine=engine_tag,
-    ).as_dict()
-    result_cache = active_cache(use_result_cache)
-    if result_cache is not None:
-        cached = result_cache.load(manifest)
-        if cached is not None:
-            return cached
-    records = load_trace(spec, n_branches)
-    baseline, unit = build_system(system)
-    model = PipelineModel(
-        baseline,
-        unit=unit,
-        config=pipeline_cfg,
-        hierarchy=CacheHierarchy(),
-    )
-    if tel.enabled:
-        tel.begin_run(spec.name, system.name, n_branches, manifest)
-    t0 = perf_counter()
-    if sampling is not None and sampling.enabled:
-        stats = run_sampled(model, records, sampling)
-    elif use_specialize:
-        from repro.harness.specialize import (
-            specialize_checkpoint_interval,
-            specialize_force_abort,
-            specialize_profile_branches,
+    return _simulate_job(
+        SimJob(
+            spec=spec,
+            system=system,
+            n_branches=n_branches,
+            pipeline=pipeline,
+            use_result_cache=use_result_cache,
+            engine=engine,
+            declined=declined,
         )
-        from repro.pipeline.specialize import run_specialized
-
-        stats, spec_info = run_specialized(
-            model,
-            records,
-            config_hash=manifest["config_hash"],
-            profile_branches=specialize_profile_branches(),
-            checkpoint_interval=specialize_checkpoint_interval(),
-            force_abort_at=specialize_force_abort(),
-        )
-        # Attached after build_manifest computed config_hash: the
-        # decision describes the run, it must not shape the cache key.
-        manifest["specialize"] = spec_info
-    else:
-        stats = model.run(records)
-    manifest["wall_s"] = perf_counter() - t0
-    if tel.enabled:
-        tel.end_run(stats)
-    result = RunResult(
-        workload=spec.name,
-        category=spec.category,
-        system=system.name,
-        ipc=stats.ipc,
-        mpki=stats.mpki,
-        instructions=stats.instructions,
-        cycles=stats.cycles,
-        mispredictions=stats.mispredictions,
-        extra=stats.extra,
-        manifest=manifest,
     )
-    if result_cache is not None:
-        result_cache.store(result)
+
+
+def _simulate_job(job: SimJob) -> RunResult:
+    """Run one planned job on its exact, specialized or sampled engine.
+
+    The job's manifest is its result-cache key; a fresh result is stored
+    under it.  Batch jobs never come here: :func:`execute_job
+    <repro.harness.scheduler.execute_job>` sends them to the kernel.
+    """
+    spec, system, engine = job.spec, job.system, job.engine
+    manifest = job.manifest()
+    result_cache = active_cache(job.use_result_cache)
+    result = result_cache.load(manifest) if result_cache is not None else None
+    if result is None:
+        records = load_trace(spec, job.n_branches)
+        model = build_model(system, job.pipeline)
+        if TELEMETRY.enabled:
+            TELEMETRY.begin_run(spec.name, system.name, job.n_branches, manifest)
+        t0 = perf_counter()
+        if engine.sampling is not None:
+            stats = run_sampled(model, records, engine.sampling)
+        elif engine.kind == "specialized":
+            from repro.pipeline.specialize import run_specialized
+
+            # Attached after build_manifest computed config_hash: the
+            # planner's decision describes the run, not the cache key.
+            stats, manifest["specialize"] = run_specialized(
+                model, records, config_hash=manifest["config_hash"]
+            )
+        else:
+            stats = model.run(records)
+        manifest["wall_s"] = perf_counter() - t0
+        if TELEMETRY.enabled:
+            TELEMETRY.end_run(stats)
+        result = RunResult(
+            workload=spec.name,
+            category=spec.category,
+            system=system.name,
+            ipc=stats.ipc,
+            mpki=stats.mpki,
+            instructions=stats.instructions,
+            cycles=stats.cycles,
+            mispredictions=stats.mispredictions,
+            extra=stats.extra,
+            manifest=manifest,
+        )
+        if result_cache is not None:
+            result_cache.store(result)
+    # The declined requests describe this request, not the run that
+    # filled the cache, so they are attached after any load or store.
+    if job.declined and result.manifest is not None:
+        result.manifest["declined"] = dict(job.declined)
     return result
 
 
@@ -398,10 +403,10 @@ def validate_shard(shard: tuple[int, int]) -> tuple[int, int]:
     """Check ``(k, n)`` shard coordinates, rejecting out-of-range pairs.
 
     Every consumer of ``--shard K/N`` — the CLI parser, the matrix
-    runner, the sharded (remote-stub) executor, and the service's sweep
-    requests — funnels through this check, so ``K > N``, ``K < 1`` and
-    ``N < 1`` all fail loudly with a :class:`ConfigError` instead of
-    silently selecting an empty or wrong partition.
+    runner, and the service's sweep requests — funnels through this
+    check, so ``K > N``, ``K < 1`` and ``N < 1`` all fail loudly with a
+    :class:`ConfigError` instead of silently selecting an empty or
+    wrong partition.
     """
     k, n = shard
     if n < 1 or not 1 <= k <= n:
@@ -435,8 +440,8 @@ def run_matrix(
     use_result_cache: bool | None = None,
     sampling: SamplingConfig | None = None,
     shard: tuple[int, int] | None = None,
-    batch: bool | None = None,
-    specialize: bool | None = None,
+    batch: bool = False,
+    specialize: bool = False,
 ) -> list[RunResult]:
     """Run every system against every workload.
 
@@ -444,11 +449,9 @@ def run_matrix(
     ``parallel=None`` auto-enables process fan-out for larger sweeps;
     ``workers`` pins the process count (overriding ``REPRO_WORKERS``),
     with ``workers=1`` forcing a sequential in-process sweep.
-    ``use_result_cache`` is the tri-state persistent-cache override and
-    ``sampling`` the interval-sampling configuration, both passed
-    through to every :func:`run_single`.  ``shard=(k, n)`` runs only
-    the k-th of n contiguous balanced partitions of the job list (see
-    :func:`shard_bounds`).
+    ``use_result_cache`` is the tri-state persistent-cache override.
+    ``shard=(k, n)`` runs only the k-th of n contiguous balanced
+    partitions of the job list (see :func:`shard_bounds`).
 
     Parallel sweeps ship each workload's trace to the workers through
     one shared-memory segment (columnar layout, see
@@ -457,36 +460,20 @@ def run_matrix(
     to per-worker decoding.  Segments are unlinked on the way out even
     when a worker dies mid-sweep.
 
-    ``batch`` is the tri-state gate for the columnar batch sweep kernel
-    (:mod:`repro.pipeline.batch`): ``True`` enables it, ``False``
-    forces it off, and ``None`` defers to the ``REPRO_BATCH``
-    environment variable.  When enabled, groups of table-indexed
-    predictor configs sharing a workload are evaluated in one
-    vectorised pass (exact predictions and MPKI, no pipeline timing);
-    everything the kernel cannot express runs on the exact engine
-    unchanged.  Telemetry capture forces the exact engine — batch
-    results carry no per-run event streams.
-
-    ``specialize`` is the tri-state gate for the trace-guided codegen
-    fast path (:mod:`repro.pipeline.specialize`): ``True`` enables it,
-    ``False`` forces it off, ``None`` defers to ``REPRO_SPECIALIZE``.
-    Specialized runs are bit-identical to exact runs; sampling and
-    telemetry force the generic engine per job (see
-    :func:`run_single`).
+    ``sampling``, ``batch`` and ``specialize`` request engines; each
+    job's engine is chosen by
+    :func:`~repro.harness.scheduler.select_engine`.  Batch jobs
+    (table-indexed predictor configs) sharing a workload are evaluated
+    in one vectorised kernel pass (:mod:`repro.pipeline.batch`: exact
+    predictions and MPKI, no pipeline timing); the other jobs run on
+    the normal executor.
 
     This is a thin wrapper over :class:`repro.harness.scheduler.Scheduler`
-    — the same planning/dispatch path the ``repro serve`` service uses —
-    and is bit-identical to the pre-scheduler implementation.
+    — the same planning/dispatch path the ``repro serve`` service uses.
     """
-    from repro.harness.batch import BatchExecutor, batch_enabled
+    from repro.harness.batch import BatchExecutor
     from repro.harness.scheduler import Scheduler, default_executor
-    from repro.harness.specialize import specialize_enabled
 
-    use_batch = batch_enabled(batch)
-    use_specialize = specialize_enabled(specialize)
-    if TELEMETRY.enabled:
-        use_batch = False
-        use_specialize = False
     scheduler = Scheduler(use_result_cache=use_result_cache)
     jobs = scheduler.plan(
         workloads,
@@ -495,13 +482,13 @@ def run_matrix(
         pipeline=pipeline,
         sampling=sampling,
         shard=shard,
-        batch=use_batch,
-        specialize=use_specialize,
+        batch=batch,
+        specialize=specialize,
     )
     executor = default_executor(
         len(jobs), len(systems), parallel=parallel, workers=workers
     )
-    if use_batch and any(job.batch for job in jobs):
+    if any(job.engine.kind == "batch" for job in jobs):
         executor = BatchExecutor(inner=executor)
     return scheduler.run(jobs, executor)
 

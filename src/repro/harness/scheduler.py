@@ -6,19 +6,21 @@ persistent result cache, pre-generating traces into shared memory, and
 driving a process pool.  The simulation service needs the same
 behaviour behind a concurrent API, so those concerns now live here:
 
+* :class:`Engine` and :func:`select_engine` — the engine a job runs
+  on, chosen in exactly one place from the user's request (``batch``,
+  ``specialize``, ``sampling``) and the telemetry state;
 * :class:`SimJob` — one declarative, picklable (workload, system)
-  simulation unit, with its provenance manifest available *before* the
-  run (that manifest is the result-cache key and the service's dedup
-  key);
+  simulation unit carrying its engine, with its provenance manifest
+  available *before* the run (that manifest is the result-cache key and
+  the service's dedup key);
 * :class:`Scheduler` — plans job lists (including ``--shard K/N``
   slicing), splits off jobs answerable from the persistent result
   cache, prepares shared-memory traces for pool executors, and
   dispatches the rest to a pluggable
   :class:`~repro.harness.executors.Executor`.
 
-``run_matrix`` is now a thin wrapper over this module and is
-bit-identical to its pre-refactor behaviour; the service submits the
-same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
+``run_matrix`` is a thin wrapper over this module; the service submits
+the same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Sequence
 
+from repro.errors import ConfigError
 from repro.harness.executors import (
     Executor,
     InlineExecutor,
@@ -34,22 +37,135 @@ from repro.harness.executors import (
 )
 from repro.harness.result_cache import ResultCache, active_cache
 from repro.harness.sampling import SamplingConfig
-from repro.harness.systems import SystemConfig
+from repro.harness.systems import SystemConfig, table_predictor_spec
 from repro.pipeline.config import PipelineConfig
+from repro.telemetry import TELEMETRY
 from repro.telemetry.manifest import build_manifest
 from repro.trace.columns import ColumnarTrace, SharedTrace
 from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["SimJob", "Scheduler", "execute_job", "default_executor"]
+__all__ = [
+    "Engine",
+    "EXACT",
+    "SPECIALIZED",
+    "BATCH",
+    "select_engine",
+    "SimJob",
+    "Scheduler",
+    "execute_job",
+    "default_executor",
+]
+
+_ENGINE_KINDS = ("exact", "specialized", "batch", "sampled")
+
+
+@dataclass(frozen=True)
+class Engine:
+    """The engine one job runs on: exact, specialized, batch or sampled.
+
+    * ``exact`` — the generic detailed engine;
+    * ``specialized`` — trace-guided codegen
+      (:mod:`repro.pipeline.specialize`), bit-identical to exact;
+    * ``batch`` — the columnar kernel (:mod:`repro.pipeline.batch`):
+      exact predictions and MPKI, no pipeline timing;
+    * ``sampled`` — interval sampling under ``sampling``, an estimate.
+
+    Only :func:`select_engine` decides which one a request gets.
+    """
+
+    kind: str = "exact"
+    sampling: SamplingConfig | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _ENGINE_KINDS or (self.kind == "sampled") != (
+            self.sampling is not None
+        ):
+            raise ConfigError(f"invalid engine: {self!r}")
+
+    @property
+    def tag(self) -> str | None:
+        """The manifest ``engine`` tag, folded into ``config_hash``.
+
+        Exact and sampled runs carry none (a sampled run's config hash
+        covers its ``sampling`` payload instead).  The specialized tag
+        carries :data:`~repro.pipeline.specialize.SPECIALIZE_VERSION`,
+        so a codegen change invalidates cached specialized results.
+        """
+        if self.kind == "batch":
+            return "batch"
+        if self.kind == "specialized":
+            from repro.pipeline.specialize import SPECIALIZE_VERSION
+
+            return f"specialize-v{SPECIALIZE_VERSION}"
+        return None
+
+
+EXACT = Engine()
+SPECIALIZED = Engine("specialized")
+BATCH = Engine("batch")
+
+#: Requests ``select_engine`` did not honour: ``(request, why)`` pairs.
+Declined = tuple[tuple[str, str], ...]
+
+
+def select_engine(
+    system: SystemConfig,
+    *,
+    sampling: SamplingConfig | None,
+    batch: bool,
+    specialize: bool,
+    telemetry: bool,
+) -> tuple[Engine, Declined]:
+    """Choose the engine for one (system, request); the only place that does.
+
+    Rules, in order:
+
+    1. ``batch`` with an enabled ``sampling`` raises :class:`ConfigError`.
+    2. Enabled sampling runs sampled; ``specialize`` is declined.
+    3. Active ``telemetry`` runs exact; ``batch`` and ``specialize`` are
+       declined (batch results carry no event stream, and specialized
+       code elides the telemetry hooks).
+    4. ``batch`` on a table-indexed predictor runs on the batch kernel;
+       on any other system it is declined.
+    5. ``specialize`` runs specialized (the run-time planner may still
+       fall back to generic code, recorded in ``manifest["specialize"]``).
+    6. Otherwise exact.
+
+    Returns the engine and the declined ``(request, why)`` pairs, which
+    the run copies into ``manifest["declined"]`` after hashing.
+    """
+    sampled = sampling is not None and sampling.enabled
+    if batch and sampled:
+        raise ConfigError(
+            "batch and sampling are mutually exclusive: the batch sweep "
+            "kernel computes exact predictions over the full trace, while "
+            "sampling simulates only selected intervals — pick one"
+        )
+    if sampled:
+        return Engine("sampled", sampling), (
+            (("specialize", "sampled run"),) if specialize else ()
+        )
+    if telemetry:
+        return EXACT, tuple(
+            (request, "telemetry active")
+            for request, asked in (("batch", batch), ("specialize", specialize))
+            if asked
+        )
+    if batch and table_predictor_spec(system) is not None:
+        return BATCH, ()
+    declined: Declined = (("batch", "not a table predictor"),) if batch else ()
+    return (SPECIALIZED if specialize else EXACT), declined
 
 
 @dataclass(frozen=True)
 class SimJob:
     """One schedulable (workload, system) simulation.
 
-    Frozen and picklable so any executor — inline, process pool, or a
-    future remote transport — can carry it unchanged.  ``shm_ref`` is
-    ``(segment name, record count)`` when the scheduler published the
+    Frozen and picklable so any executor — inline or process pool — can
+    carry it unchanged.  ``engine`` is chosen at *plan* time by
+    :func:`select_engine`, so the manifest a job is planned with (its
+    cache and dedup key) is the manifest its run carries.  ``shm_ref``
+    is ``(segment name, record count)`` when the scheduler published the
     workload's trace to shared memory, else None.
     """
 
@@ -58,40 +174,21 @@ class SimJob:
     n_branches: int
     pipeline: PipelineConfig | None = None
     use_result_cache: bool | None = None
-    sampling: SamplingConfig | None = None
+    engine: Engine = EXACT
+    #: ``select_engine``'s declined requests for this job.
+    declined: Declined = ()
     shm_ref: tuple[str, int] | None = None
-    #: Planned for the batch sweep kernel.  Set at *plan* time (not
-    #: execute time) so the manifest hash and the engine that actually
-    #: runs can never diverge — a batch job's cache entry is keyed with
-    #: ``engine: "batch"`` and is invisible to exact-timing requests.
-    batch: bool = False
-    #: Requests the trace-guided specialized engine (bit-identical to
-    #: exact; see :mod:`repro.pipeline.specialize`).  Like ``batch``,
-    #: set at plan time so the manifest's ``engine`` tag — which folds
-    #: ``SPECIALIZE_VERSION`` into ``config_hash`` — matches what
-    #: :func:`~repro.harness.runner.run_single` actually does.  Sampled
-    #: jobs ignore it (and drop the tag), mirroring run_single.
-    specialize: bool = False
 
     def manifest(self) -> dict[str, Any]:
         """The provenance manifest this job's run would carry."""
         pipeline_cfg = self.pipeline if self.pipeline is not None else PipelineConfig()
-        engine = None
-        if self.batch:
-            engine = "batch"
-        elif self.specialize and not (
-            self.sampling is not None and self.sampling.enabled
-        ):
-            from repro.harness.specialize import specialize_engine_tag
-
-            engine = specialize_engine_tag()
         return build_manifest(
             self.spec,
             self.system,
             self.n_branches,
             pipeline_cfg,
-            sampling=self.sampling,
-            engine=engine,
+            sampling=self.engine.sampling,
+            engine=self.engine.tag,
         ).as_dict()
 
 
@@ -99,24 +196,20 @@ def execute_job(job: SimJob) -> Any:
     """Run one job in the current process (the executor entry point).
 
     Module-level (not a method) so :class:`ProcessPoolExecutorBackend`
-    can pickle it to workers.  Seeds the worker-local trace memo from
-    the job's shared-memory ref when present, then defers to
-    :func:`repro.harness.runner.run_single` — the single simulation
-    path every frontend shares.
+    can pickle it to workers.  Dispatches on ``job.engine``: a batch job
+    runs through the kernel as a one-config group, every other engine
+    through the runner's scalar path, after seeding the worker-local
+    trace memo from the job's shared-memory ref.
     """
-    from repro.harness.runner import _seed_memo_from_shm, run_single
+    if job.engine.kind == "batch":
+        from repro.harness.batch import BatchExecutor
+
+        return BatchExecutor().execute([job])[0]
+    from repro.harness.runner import _seed_memo_from_shm, _simulate_job
 
     if job.shm_ref is not None:
         _seed_memo_from_shm(job.spec, job.n_branches, job.shm_ref)
-    return run_single(
-        job.spec,
-        job.system,
-        job.n_branches,
-        job.pipeline,
-        job.use_result_cache,
-        job.sampling,
-        specialize=job.specialize,
-    )
+    return _simulate_job(job)
 
 
 def default_executor(
@@ -171,17 +264,23 @@ class Scheduler:
     ) -> list[SimJob]:
         """The workload-major job list, optionally shard-sliced.
 
-        With ``batch=True``, jobs that the batch sweep kernel supports
-        are marked ``batch=True`` whenever enough of them share one
-        workload (see :func:`mark_batch_jobs`); marking happens *after*
-        shard slicing so each shard makes its own grouping decision
-        from the jobs it will actually run.  ``specialize=True``
-        requests the trace-guided codegen engine on every exact job
-        (batch-marked jobs keep their ``batch`` engine — the kernel is
-        already vectorised).
+        Each system's engine comes from :func:`select_engine` under the
+        current telemetry state.  The choice depends on the job alone,
+        never on which other jobs share the plan or the shard.
         """
         from repro.harness.runner import shard_bounds
 
+        telemetry = TELEMETRY.enabled
+        choices = [
+            select_engine(
+                system,
+                sampling=sampling,
+                batch=batch,
+                specialize=specialize,
+                telemetry=telemetry,
+            )
+            for system in systems
+        ]
         jobs = [
             SimJob(
                 spec=spec,
@@ -189,19 +288,15 @@ class Scheduler:
                 n_branches=n_branches,
                 pipeline=pipeline,
                 use_result_cache=self.use_result_cache,
-                sampling=sampling,
-                specialize=specialize,
+                engine=engine,
+                declined=declined,
             )
             for spec in workloads
-            for system in systems
+            for system, (engine, declined) in zip(systems, choices)
         ]
         if shard is not None:
             start, end = shard_bounds(len(jobs), shard)
             jobs = jobs[start:end]
-        if batch:
-            from repro.harness.batch import mark_batch_jobs
-
-            jobs = mark_batch_jobs(jobs)
         return jobs
 
     # ------------------------------------------------------------- #

@@ -35,9 +35,9 @@ generic engine, whose own fused correct-path step
 (:meth:`~repro.predictors.base.GlobalPredictor.spec_resolve_correct`)
 already serves the other pure-lookup predictors.
 
-This module is simulation code (no environment reads, no clocks); all
-policy — whether to specialize, profile length, cache directory — is
-decided by :mod:`repro.harness.specialize` and passed in explicitly.
+This module is simulation code (no environment reads, no clocks);
+whether to specialize is decided by
+:func:`~repro.harness.scheduler.select_engine`.
 """
 
 from __future__ import annotations
@@ -45,10 +45,8 @@ from __future__ import annotations
 import ast
 import copy
 import hashlib
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import astuple, dataclass
-from pathlib import Path
 
 from repro.core.inflight import InflightBranch
 from repro.errors import SimulationError, SpecializationError
@@ -1150,46 +1148,18 @@ _ENGINE_MEMO: dict[str, CompiledEngine] = {}
 
 
 def load_engine(
-    decision: SpecializationDecision,
-    config_hash: str,
-    cache_dir: Path | None = None,
+    decision: SpecializationDecision, config_hash: str
 ) -> CompiledEngine:
-    """Fetch a compiled engine: memo, then disk, then fresh codegen.
-
-    Disk entries are validated (``ast.parse`` via compilation) before
-    use; unreadable or corrupt files are regenerated in place, never
-    trusted.  Cache writes are best-effort — a read-only cache dir
-    degrades to in-process caching only.
-    """
+    """Fetch a compiled engine from the in-process memo, else codegen."""
     key = engine_cache_key(decision, config_hash)
     cached = _ENGINE_MEMO.get(key)
     if cached is not None:
         TELEMETRY.registry.counter("specialize.engine_cache_hits").inc()
         return cached
-
-    disk_path = cache_dir / f"{key}.py" if cache_dir is not None else None
-    if disk_path is not None:
-        try:
-            source = disk_path.read_text()
-            engine = CompiledEngine(key, source, _compile_engine(source, key))
-            _ENGINE_MEMO[key] = engine
-            TELEMETRY.registry.counter("specialize.engine_cache_hits").inc()
-            return engine
-        except (OSError, SpecializationError):
-            pass  # missing or corrupt: fall through to regeneration
-
     source = generate_engine_source(decision)
     engine = CompiledEngine(key, source, _compile_engine(source, key))
     _ENGINE_MEMO[key] = engine
     TELEMETRY.registry.counter("specialize.engines_compiled").inc()
-    if disk_path is not None:
-        try:
-            disk_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = disk_path.with_name(f"{disk_path.name}.{os.getpid()}.tmp")
-            tmp.write_text(source)
-            tmp.replace(disk_path)
-        except OSError:
-            pass  # cache write failure must never fail the run
     return engine
 
 
@@ -1246,7 +1216,6 @@ def run_specialized(
     profile_branches: int = DEFAULT_PROFILE_BRANCHES,
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
     force_abort_at: int | None = None,
-    engine_cache_dir: Path | None = None,
 ) -> tuple[SimStats, dict[str, object]]:
     """Simulate ``records`` on ``model``, specializing after a profile.
 
@@ -1295,7 +1264,7 @@ def run_specialized(
         model.run_stream(stream)
         return model.finalize(), info
 
-    engine = load_engine(decision, config_hash, cache_dir=engine_cache_dir)
+    engine = load_engine(decision, config_hash)
     info["engine"] = "specialized"
     info["template"] = decision.template
     info["engine_key"] = engine.key

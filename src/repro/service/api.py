@@ -38,7 +38,7 @@ from repro.harness.result_cache import code_fingerprint
 from repro.harness.runner import select_workloads, validate_shard
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
-from repro.harness.scheduler import SimJob
+from repro.harness.scheduler import Scheduler, SimJob
 from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
 from repro.telemetry.manifest import stable_hash
 from repro.harness.tracestore import resolve_workload
@@ -161,19 +161,13 @@ def _sampling(payload: Mapping[str, Any]) -> SamplingConfig | None:
 
 
 def _specialize(payload: Mapping[str, Any]) -> bool:
-    """The ``specialize`` request field composed with ``REPRO_SPECIALIZE``.
-
-    A JSON boolean is an explicit choice; a missing field defers to the
-    server's environment — the same tri-state contract as the CLI flag.
-    """
-    from repro.harness.specialize import specialize_enabled
-
+    """The ``specialize`` request field: a JSON boolean, default false."""
     value = payload.get("specialize")
     if value is not None and not isinstance(value, bool):
         raise ServiceError(
             f"request field 'specialize' must be a boolean, got {value!r}"
         )
-    return specialize_enabled(value)
+    return bool(value)
 
 
 def _shard(payload: Mapping[str, Any]) -> tuple[int, int] | None:
@@ -229,34 +223,8 @@ def parse_request(payload: Any) -> ServiceRequest:
     if specialize:
         echo["specialize"] = True
 
-    if kind == "run":
-        spec = resolve_workload(_require_str(payload, "workload"))
-        system = _system_by_name(payload.get("system", "forward-walk-coalesce"))
-        jobs = [
-            SimJob(
-                spec=spec,
-                system=system,
-                n_branches=branches,
-                sampling=sampling,
-                specialize=specialize,
-            )
-        ]
-        echo.update(workload=spec.name, system=system.name)
-    elif kind == "compare":
-        spec = resolve_workload(_require_str(payload, "workload"))
-        systems = _systems(payload)
-        jobs = [
-            SimJob(
-                spec=spec,
-                system=system,
-                n_branches=branches,
-                sampling=sampling,
-                specialize=specialize,
-            )
-            for system in systems
-        ]
-        echo.update(workload=spec.name, systems=[s.name for s in systems])
-    else:
+    shard: tuple[int, int] | None = None
+    if kind == "sweep":
         per_category = _per_category(payload)
         systems = _systems(payload)
         shard = _shard(payload)
@@ -266,21 +234,30 @@ def parse_request(payload: Any) -> ServiceRequest:
             workloads_per_category=per_category,
         )
         workloads = select_workloads(scale)
-        from repro.harness.scheduler import Scheduler
-
-        jobs = Scheduler().plan(
-            workloads,
-            systems,
-            branches,
-            sampling=sampling,
-            shard=shard,
-            specialize=specialize,
-        )
         echo.update(
             per_category=per_category,
             systems=[s.name for s in systems],
             shard=f"{shard[0]}/{shard[1]}" if shard else None,
         )
+    else:
+        spec = resolve_workload(_require_str(payload, "workload"))
+        workloads = [spec]
+        if kind == "run":
+            systems = [
+                _system_by_name(payload.get("system", "forward-walk-coalesce"))
+            ]
+            echo.update(workload=spec.name, system=systems[0].name)
+        else:
+            systems = _systems(payload)
+            echo.update(workload=spec.name, systems=[s.name for s in systems])
+    jobs = Scheduler().plan(
+        workloads,
+        systems,
+        branches,
+        sampling=sampling,
+        shard=shard,
+        specialize=specialize,
+    )
 
     if not jobs:
         raise ServiceError("request expands to zero simulation jobs")

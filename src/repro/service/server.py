@@ -50,7 +50,6 @@ from repro.harness.executors import (
     Executor,
     InlineExecutor,
     ProcessPoolExecutorBackend,
-    ShardedExecutor,
 )
 from repro.harness.scheduler import Scheduler
 from repro.service.api import parse_request
@@ -70,7 +69,7 @@ _MAX_BODY = 1 << 20
 #: Upper bound on ``?wait=`` long-polls and /events streams (seconds).
 _MAX_WAIT = 60.0
 
-_EXECUTORS = ("inline", "pool", "sharded")
+_EXECUTORS = ("inline", "pool")
 
 _QUEUE_FILE = "queue.json"
 
@@ -93,8 +92,6 @@ class ServiceConfig:
     executor: str = "inline"
     #: Process count for ``executor="pool"`` (None = auto).
     pool_workers: int | None = None
-    #: Shard count for the ``executor="sharded"`` remote stub.
-    shards: int = 2
     #: Tri-state persistent result cache override (True = on, the
     #: service default: dedup of completed work depends on it).
     use_result_cache: bool | None = True
@@ -314,8 +311,6 @@ class ReproService:
         if self.config.executor == "pool":
             workers = self.config.pool_workers or max(1, (os.cpu_count() or 2) - 1)
             return ProcessPoolExecutorBackend(workers=workers)
-        if self.config.executor == "sharded":
-            return ShardedExecutor(shards=self.config.shards)
         return InlineExecutor()
 
     def _worker_loop(self) -> None:

@@ -1,4 +1,4 @@
-"""Harness integration of the batch sweep kernel: gating, job marking,
+"""Harness integration of the batch sweep kernel: engine planning,
 executor routing, cache keys, and the CLI surface."""
 
 import json
@@ -6,16 +6,12 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.harness.batch import (
-    BATCH_MIN_CONFIGS,
-    BatchExecutor,
-    batch_enabled,
-    mark_batch_jobs,
-)
+from repro.errors import ConfigError
+from repro.harness.batch import BatchExecutor
 from repro.harness.runner import run_matrix
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
-from repro.harness.scheduler import Scheduler
+from repro.harness.scheduler import BATCH, Scheduler
 from repro.harness.systems import TABLE3_SYSTEMS, resolve_system
 from repro.workloads.suite import get_workload
 
@@ -26,7 +22,6 @@ SPEC_NAMES = ["bimodal:6", "bimodal:8", "gshare:6:4", "local2l:5:4:7"]
 def isolated_caches(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
 
 
 def _scale(branches=2000):
@@ -39,42 +34,31 @@ def _plan(systems, batch=True, sampling=None):
     )
 
 
-class TestGate:
-    def test_explicit_flag_wins_when_env_unset(self):
-        assert batch_enabled(True) is True
-        assert batch_enabled(False) is False
-        assert batch_enabled(None) is False
-
-    def test_env_off_vetoes_explicit_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "off")
-        assert batch_enabled(True) is False
-
-    def test_env_on_enables_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "on")
-        assert batch_enabled(None) is True
-        assert batch_enabled(False) is False
-
-
 class TestMarking:
     def test_group_of_table_specs_is_marked(self):
         jobs = _plan([resolve_system(name) for name in SPEC_NAMES])
-        assert all(job.batch for job in jobs)
+        assert all(job.engine == BATCH for job in jobs)
 
-    def test_small_group_stays_scalar(self):
-        names = SPEC_NAMES[: BATCH_MIN_CONFIGS - 1]
-        jobs = _plan([resolve_system(name) for name in names])
-        assert not any(job.batch for job in jobs)
+    def test_one_table_config_runs_on_the_kernel(self):
+        jobs = _plan([resolve_system(SPEC_NAMES[0])])
+        assert [job.engine for job in jobs] == [BATCH]
+        [result] = run_matrix(
+            [get_workload("hpc-fft")], [resolve_system(SPEC_NAMES[0])],
+            _scale(), batch=True,
+        )
+        assert result.manifest["engine"] == "batch"
+        assert result.cycles == 0 and result.extra["batch"]["engine"] == "columnar"
 
     def test_table3_systems_never_marked(self):
         jobs = _plan(list(TABLE3_SYSTEMS))
-        assert not any(job.batch for job in jobs)
+        assert not any(job.engine == BATCH for job in jobs)
 
-    def test_sampled_jobs_never_marked(self):
-        jobs = _plan(
-            [resolve_system(name) for name in SPEC_NAMES],
-            sampling=SamplingConfig(mode="periodic"),
-        )
-        assert not any(job.batch for job in jobs)
+    def test_batch_with_sampling_is_config_error(self):
+        with pytest.raises(ConfigError, match="mutually exclusive"):
+            _plan(
+                [resolve_system(name) for name in SPEC_NAMES],
+                sampling=SamplingConfig(mode="periodic"),
+            )
 
     def test_marking_preserves_job_count_and_order(self):
         systems = [resolve_system(name) for name in SPEC_NAMES] + [
@@ -82,13 +66,7 @@ class TestMarking:
         ]
         jobs = _plan(systems)
         assert [job.system.name for job in jobs] == [s.name for s in systems]
-        assert [job.batch for job in jobs] == [True] * 4 + [False]
-
-    def test_mark_is_pure(self):
-        jobs = _plan([resolve_system(name) for name in SPEC_NAMES], batch=False)
-        marked = mark_batch_jobs(jobs)
-        assert not any(job.batch for job in jobs)
-        assert all(job.batch for job in marked)
+        assert [job.engine == BATCH for job in jobs] == [True] * 4 + [False]
 
 
 class TestManifests:
@@ -144,6 +122,29 @@ class TestExecution:
         assert tage.system == "baseline-tage"
         assert tage.ipc > 0.0 and tage.cycles > 0
 
+    def test_sharded_sweep_equals_unsharded(self):
+        workloads = [get_workload("hpc-fft")]
+        systems = [
+            resolve_system(name)
+            for name in (
+                "bimodal:10", "bimodal:12", "gshare:12:10", "gshare:14:12",
+                "local2l:10:8:12",
+            )
+        ]
+        full = run_matrix(workloads, systems, _scale(), workers=1, batch=True)
+        sharded = [
+            result
+            for k in (1, 2)
+            for result in run_matrix(
+                workloads, systems, _scale(), workers=1, batch=True, shard=(k, 2)
+            )
+        ]
+        assert sharded == full
+        assert [
+            (r.manifest["engine"], r.manifest["config_hash"]) for r in sharded
+        ] == [(r.manifest["engine"], r.manifest["config_hash"]) for r in full]
+        assert {r.manifest["engine"] for r in full} == {"batch"}
+
     def test_column_cache_hits_counted(self):
         from repro.telemetry import TELEMETRY
 
@@ -152,14 +153,15 @@ class TestExecution:
         # The first batch sweep generates and writes the trace file;
         # later sweeps decode it once and then hit the columnar cache.
         run_matrix(workloads, systems, _scale(), batch=True)
+        # Telemetry plans every job on the exact engine, so plan first
+        # and drive the executor directly: the first execute decodes
+        # (miss), the second is served by the decode cache (hit).
+        jobs = _plan(systems)
         TELEMETRY.enable()
         try:
             before = TELEMETRY.registry.counter("trace.column_cache_hits").value
-            # Telemetry forces run_matrix to the exact engine, so drive
-            # the executor directly: first execute decodes (miss), the
-            # second is served by the decode cache (hit).
-            BatchExecutor().execute(_plan(systems))
-            BatchExecutor().execute(_plan(systems))
+            BatchExecutor().execute(jobs)
+            BatchExecutor().execute(jobs)
             after = TELEMETRY.registry.counter("trace.column_cache_hits").value
         finally:
             TELEMETRY.disable()

@@ -1,21 +1,14 @@
-"""Harness integration of the specialized engines: gating, manifests,
+"""Harness integration of the specialized engines: manifests,
 scheduler/service plumbing, and the CLI surface."""
 
 import pytest
 
-from repro.cli import main
-from repro.errors import ConfigError, ServiceError
-from repro.harness.runner import run_matrix, run_single
+from repro.cli import _print_engine_note, main
+from repro.errors import ServiceError
+from repro.harness.runner import RunResult, run_matrix, run_single
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
-from repro.harness.scheduler import Scheduler
-from repro.harness.specialize import (
-    specialize_checkpoint_interval,
-    specialize_enabled,
-    specialize_engine_tag,
-    specialize_force_abort,
-    specialize_profile_branches,
-)
+from repro.harness.scheduler import SPECIALIZED, Scheduler
 from repro.harness.systems import resolve_system
 from repro.pipeline.specialize import SPECIALIZE_VERSION
 from repro.service.api import parse_request
@@ -28,70 +21,15 @@ _SYSTEM = resolve_system("baseline-tage")
 def _isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
-    monkeypatch.delenv("REPRO_SPECIALIZE_PROFILE", raising=False)
-    monkeypatch.delenv("REPRO_SPECIALIZE_CHECKPOINT", raising=False)
-    monkeypatch.delenv("REPRO_SPECIALIZE_FORCE_ABORT", raising=False)
 
 
 def _scale(branches=4000):
     return Scale(name="t", branches_per_workload=branches, workloads_per_category=1)
 
 
-class TestGate:
-    def test_explicit_flag_wins_when_env_unset(self):
-        assert specialize_enabled(True) is True
-        assert specialize_enabled(False) is False
-        assert specialize_enabled(None) is False
-
-    def test_env_off_vetoes_explicit_on(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        assert specialize_enabled(True) is False
-
-    def test_env_on_enables_by_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        assert specialize_enabled(None) is True
-        assert specialize_enabled(False) is False
-
-
-class TestEnvReaders:
-    def test_defaults(self):
-        assert specialize_profile_branches() == 2000
-        assert specialize_checkpoint_interval() == 100_000
-        assert specialize_force_abort() is None
-
-    def test_overrides(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE_PROFILE", "500")
-        monkeypatch.setenv("REPRO_SPECIALIZE_CHECKPOINT", "1000")
-        monkeypatch.setenv("REPRO_SPECIALIZE_FORCE_ABORT", "0")
-        assert specialize_profile_branches() == 500
-        assert specialize_checkpoint_interval() == 1000
-        assert specialize_force_abort() == 0
-
-    @pytest.mark.parametrize(
-        "env,value",
-        [
-            ("REPRO_SPECIALIZE_PROFILE", "zero"),
-            ("REPRO_SPECIALIZE_PROFILE", "0"),
-            ("REPRO_SPECIALIZE_CHECKPOINT", "-5"),
-            ("REPRO_SPECIALIZE_FORCE_ABORT", "-1"),
-            ("REPRO_SPECIALIZE_FORCE_ABORT", "soon"),
-        ],
-    )
-    def test_invalid_values_raise_config_error(self, monkeypatch, env, value):
-        monkeypatch.setenv(env, value)
-        reader = {
-            "REPRO_SPECIALIZE_PROFILE": specialize_profile_branches,
-            "REPRO_SPECIALIZE_CHECKPOINT": specialize_checkpoint_interval,
-            "REPRO_SPECIALIZE_FORCE_ABORT": specialize_force_abort,
-        }[env]
-        with pytest.raises(ConfigError):
-            reader()
-
-
 class TestManifests:
     def test_engine_tag_carries_version(self):
-        assert specialize_engine_tag() == f"specialize-v{SPECIALIZE_VERSION}"
+        assert SPECIALIZED.tag == f"specialize-v{SPECIALIZE_VERSION}"
 
     def test_specialized_run_tags_engine_and_changes_config_hash(self):
         spec = get_workload("hpc-fft")
@@ -99,7 +37,7 @@ class TestManifests:
         fast = run_single(
             spec, _SYSTEM, 4000, use_result_cache=False, specialize=True
         )
-        assert fast.manifest["engine"] == specialize_engine_tag()
+        assert fast.manifest["engine"] == SPECIALIZED.tag
         assert "engine" not in plain.manifest
         assert fast.manifest["config_hash"] != plain.manifest["config_hash"]
         assert fast.manifest["specialize"]["engine"] == "specialized"
@@ -141,8 +79,8 @@ class TestManifests:
         jobs = Scheduler().plan(
             [get_workload("hpc-fft")], [_SYSTEM], 4000, specialize=True
         )
-        assert all(job.specialize for job in jobs)
-        assert jobs[0].manifest()["engine"] == specialize_engine_tag()
+        assert all(job.engine == SPECIALIZED for job in jobs)
+        assert jobs[0].manifest()["engine"] == SPECIALIZED.tag
         plain = Scheduler().plan([get_workload("hpc-fft")], [_SYSTEM], 4000)
         assert "engine" not in plain[0].manifest()
 
@@ -158,21 +96,6 @@ class TestManifests:
 
 
 class TestMatrix:
-    def test_env_on_engages_matrix(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        results = run_matrix(
-            [get_workload("hpc-fft")], [_SYSTEM], _scale(), workers=1
-        )
-        assert results[0].manifest["specialize"]["engine"] == "specialized"
-
-    def test_env_off_vetoes_explicit_request(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPECIALIZE", "off")
-        results = run_matrix(
-            [get_workload("hpc-fft")], [_SYSTEM], _scale(), workers=1,
-            specialize=True,
-        )
-        assert "specialize" not in results[0].manifest
-
     def test_matrix_identical_to_plain(self):
         plain = run_matrix([get_workload("hpc-fft")], [_SYSTEM], _scale())
         fast = run_matrix(
@@ -195,15 +118,7 @@ class TestService:
             }
         )
         assert request.payload["specialize"] is True
-        assert all(job.specialize for job in request.jobs)
-
-    def test_missing_field_defers_to_environment(self, monkeypatch):
-        payload = {"kind": "run", "workload": "hpc-fft", "branches": 4000}
-        request = parse_request(dict(payload))
-        assert "specialize" not in request.payload
-        monkeypatch.setenv("REPRO_SPECIALIZE", "on")
-        request = parse_request(dict(payload))
-        assert request.payload["specialize"] is True
+        assert all(job.engine == SPECIALIZED for job in request.jobs)
 
     def test_non_boolean_field_rejected(self):
         with pytest.raises(ServiceError):
@@ -231,11 +146,20 @@ class TestCli:
         assert code == 0
         assert "specialized:" not in capsys.readouterr().out
 
-    def test_forced_abort_via_env_still_succeeds(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SPECIALIZE_FORCE_ABORT", "3000")
-        code = main(
-            ["run", "--workload", "hpc-fft", "--system", "baseline-tage",
-             "--branches", "4000", "--specialize"]
+    def test_abort_note_rendered_from_manifest(self, capsys):
+        result = RunResult(
+            workload="hpc-fft", category="hpc", system="baseline-tage",
+            ipc=1.0, mpki=2.0, instructions=10, cycles=10, mispredictions=0,
+            extra={},
+            manifest={
+                "specialize": {
+                    "engine": "specialized", "template": "tage",
+                    "specialized_branches": 1000, "total_branches": 4000,
+                    "aborted": True, "guard": "forced",
+                },
+            },
         )
-        assert code == 0
-        assert "aborted on guard 'forced'" in capsys.readouterr().out
+        _print_engine_note(result)
+        out = capsys.readouterr().out
+        assert "specialized: tage template, 1000 of 4000 branches" in out
+        assert "aborted on guard 'forced'" in out

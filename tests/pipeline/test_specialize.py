@@ -37,7 +37,6 @@ from repro.workloads.suite import get_workload
 def _isolated(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path / "traces"))
     monkeypatch.delenv("REPRO_RESULT_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_SPECIALIZE", raising=False)
 
 
 def _model(system_name: str) -> PipelineModel:
@@ -244,29 +243,6 @@ class TestEngineCache:
         first = load_engine(decision, "cfg")
         second = load_engine(decision, "cfg")
         assert first is second
-
-    def test_disk_cache_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sp, "_ENGINE_MEMO", {})
-        decision = self._decision()
-        first = load_engine(decision, "cfg", cache_dir=tmp_path)
-        key = engine_cache_key(decision, "cfg")
-        assert (tmp_path / f"{key}.py").read_text() == first.source
-        # A fresh process (cleared memo) compiles the cached source
-        # instead of regenerating it.
-        monkeypatch.setattr(sp, "_ENGINE_MEMO", {})
-        second = load_engine(decision, "cfg", cache_dir=tmp_path)
-        assert second is not first
-        assert second.source == first.source
-
-    def test_corrupt_disk_entry_regenerated(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(sp, "_ENGINE_MEMO", {})
-        decision = self._decision()
-        key = engine_cache_key(decision, "cfg")
-        (tmp_path / f"{key}.py").write_text("this is not python ][")
-        engine = load_engine(decision, "cfg", cache_dir=tmp_path)
-        assert engine.source == generate_engine_source(decision)
-        # The corrupt entry was replaced by the regenerated source.
-        assert (tmp_path / f"{key}.py").read_text() == engine.source
 
     def test_version_bump_invalidates_key(self, monkeypatch):
         decision = self._decision()

@@ -69,7 +69,7 @@ class TestShapes:
                 "sampling": {"mode": "periodic", "interval": 500, "warmup": 800},
             }
         )
-        sampling = request.jobs[0].sampling
+        sampling = request.jobs[0].engine.sampling
         assert sampling is not None and sampling.interval == 500
         assert request.payload["sampling"]["mode"] == "periodic"
 
@@ -77,7 +77,7 @@ class TestShapes:
         request = parse_request(
             {"kind": "run", "workload": "hpc-fft", "sampling": {"mode": "off"}}
         )
-        assert request.jobs[0].sampling is None
+        assert request.jobs[0].engine.sampling is None
 
 
 class TestRejections:

@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.service.jobs import JobState
 from repro.service.server import ReproService, ServiceConfig
 
@@ -247,6 +248,10 @@ class TestDedup:
 
 
 class TestAdmission:
+    def test_sharded_executor_rejected(self):
+        with pytest.raises(ServiceError, match="executor"):
+            ServiceConfig(executor="sharded")
+
     def test_rate_limit_429_with_retry_after(self, tmp_path):
         service = ReproService(
             ServiceConfig(port=0, workers=1, rate=0.001, burst=2, state_dir=None)
