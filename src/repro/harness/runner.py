@@ -26,7 +26,6 @@ from repro.metrics.aggregate import WorkloadResult
 from repro.pipeline.config import PipelineConfig
 from repro.pipeline.core import PipelineModel
 from repro.telemetry import TELEMETRY
-from repro.trace.columns import SharedTrace
 from repro.trace.io import read_trace, write_trace
 from repro.trace.records import BranchRecord
 from repro.workloads.generators.engine import generate_trace
@@ -343,11 +342,7 @@ def _simulate_job(job: SimJob) -> RunResult:
         )
         if result_cache is not None:
             result_cache.store(result)
-    # The declined requests describe this request, not the run that
-    # filled the cache, so they are attached after any load or store.
-    if job.declined and result.manifest is not None:
-        result.manifest["declined"] = dict(job.declined)
-    return result
+    return job.attach_declined(result)
 
 
 def _seed_memo_from_shm(
@@ -361,6 +356,8 @@ def _seed_memo_from_shm(
     trace decodes (counted by the ``trace.decodes`` /
     ``trace.shm_attaches`` telemetry counters).
     """
+    from repro.trace.columns import SharedTrace
+
     key = (spec.name, spec.seed, n_branches)
     if key in _TRACE_MEMO:
         _TRACE_MEMO.move_to_end(key)
@@ -471,7 +468,6 @@ def run_matrix(
     This is a thin wrapper over :class:`repro.harness.scheduler.Scheduler`
     — the same planning/dispatch path the ``repro serve`` service uses.
     """
-    from repro.harness.batch import BatchExecutor
     from repro.harness.scheduler import Scheduler, default_executor
 
     scheduler = Scheduler(use_result_cache=use_result_cache)
@@ -489,6 +485,8 @@ def run_matrix(
         len(jobs), len(systems), parallel=parallel, workers=workers
     )
     if any(job.engine.kind == "batch" for job in jobs):
+        from repro.harness.batch import BatchExecutor
+
         executor = BatchExecutor(inner=executor)
     return scheduler.run(jobs, executor)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ConfigError
 from repro.harness.executors import (
@@ -40,9 +40,12 @@ from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig, table_predictor_spec
 from repro.pipeline.config import PipelineConfig
 from repro.telemetry import TELEMETRY
-from repro.telemetry.manifest import build_manifest
-from repro.trace.columns import ColumnarTrace, SharedTrace
+from repro.telemetry.manifest import EnvPairs, build_manifest, capture_env
 from repro.workloads.spec import WorkloadSpec
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.runner import RunResult
+    from repro.trace.columns import SharedTrace
 
 __all__ = [
     "Engine",
@@ -164,9 +167,11 @@ class SimJob:
     Frozen and picklable so any executor — inline or process pool — can
     carry it unchanged.  ``engine`` is chosen at *plan* time by
     :func:`select_engine`, so the manifest a job is planned with (its
-    cache and dedup key) is the manifest its run carries.  ``shm_ref``
-    is ``(segment name, record count)`` when the scheduler published the
-    workload's trace to shared memory, else None.
+    cache and dedup key) is the manifest its run carries.  ``env`` is
+    the ``REPRO_*`` environment :meth:`Scheduler.plan` captured (None:
+    capture it when the manifest is built).  ``shm_ref`` is ``(segment
+    name, record count)`` when the scheduler published the workload's
+    trace to shared memory, else None.
     """
 
     spec: WorkloadSpec
@@ -177,6 +182,7 @@ class SimJob:
     engine: Engine = EXACT
     #: ``select_engine``'s declined requests for this job.
     declined: Declined = ()
+    env: EnvPairs | None = None
     shm_ref: tuple[str, int] | None = None
 
     def manifest(self) -> dict[str, Any]:
@@ -189,7 +195,19 @@ class SimJob:
             pipeline_cfg,
             sampling=self.engine.sampling,
             engine=self.engine.tag,
+            env=self.env,
         ).as_dict()
+
+    def attach_declined(self, result: "RunResult") -> "RunResult":
+        """``result`` with this job's declined requests in its manifest.
+
+        They describe this request, not the run that filled the cache,
+        so every path that answers a job (fresh run or cache hit)
+        attaches them last.
+        """
+        if self.declined and result.manifest is not None:
+            result.manifest["declined"] = dict(self.declined)
+        return result
 
 
 def execute_job(job: SimJob) -> Any:
@@ -266,11 +284,14 @@ class Scheduler:
 
         Each system's engine comes from :func:`select_engine` under the
         current telemetry state.  The choice depends on the job alone,
-        never on which other jobs share the plan or the shard.
+        never on which other jobs share the plan or the shard.  The
+        ``REPRO_*`` environment is captured once, here, for every job's
+        manifest.
         """
         from repro.harness.runner import shard_bounds
 
         telemetry = TELEMETRY.enabled
+        env = capture_env()
         choices = [
             select_engine(
                 system,
@@ -290,6 +311,7 @@ class Scheduler:
                 use_result_cache=self.use_result_cache,
                 engine=engine,
                 declined=declined,
+                env=env,
             )
             for spec in workloads
             for system, (engine, declined) in zip(systems, choices)
@@ -326,7 +348,7 @@ class Scheduler:
         for index, job in enumerate(jobs):
             cached = cache.load(job.manifest())
             if cached is not None:
-                hits[index] = cached
+                hits[index] = job.attach_declined(cached)
             else:
                 misses.append(job)
         return hits, misses
@@ -373,6 +395,7 @@ class Scheduler:
         in plus the live segments the caller must unlink.
         """
         from repro.harness.runner import _shm_enabled, load_trace
+        from repro.trace.columns import ColumnarTrace
 
         cache = self.cache()
         by_spec: OrderedDict[str, tuple[WorkloadSpec, list[SimJob]]] = OrderedDict()

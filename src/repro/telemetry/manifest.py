@@ -11,6 +11,7 @@ platforms, and ``PYTHONHASHSEED``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -27,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.config import PipelineConfig
     from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["RunManifest", "build_manifest", "stable_hash"]
+__all__ = ["RunManifest", "build_manifest", "capture_env", "stable_hash"]
 
 #: Bump when the hashed payload layout changes.
 _MANIFEST_VERSION = 1
@@ -75,10 +76,14 @@ class RunManifest:
     wall_s: float | None = None
 
     def as_dict(self) -> dict[str, Any]:
-        payload = asdict(self)
-        if payload.get("sampling") is None:
+        """A fresh plain dict: its ``env`` and ``sampling`` are copies."""
+        payload = dict(vars(self))
+        payload["env"] = dict(self.env)
+        if self.sampling is None:
             del payload["sampling"]
-        if payload.get("engine") is None:
+        else:
+            payload["sampling"] = dict(self.sampling)
+        if self.engine is None:
             del payload["engine"]
         return payload
 
@@ -88,12 +93,56 @@ class RunManifest:
         return cls(**{k: v for k, v in payload.items() if k in names})
 
 
-def _captured_env() -> dict[str, str]:
-    return {
-        key: value
-        for key, value in sorted(os.environ.items())
-        if key.startswith("REPRO_")
+#: An environment capture: the ``REPRO_*`` variables as sorted pairs.
+EnvPairs = tuple[tuple[str, str], ...]
+
+
+def capture_env() -> EnvPairs:
+    """Every ``REPRO_*`` variable, sorted (names filtered before values are read)."""
+    environ = os.environ
+    return tuple(sorted((key, environ[key]) for key in environ if key.startswith("REPRO_")))
+
+
+def _types(config: Any) -> tuple[type, ...]:
+    """The types of a config's field values.
+
+    Part of every digest memo key (``typed=True`` covers the top-level
+    arguments): dataclass equality treats ``1``, ``1.0`` and ``True`` as
+    one value where canonical JSON does not, so a key of values alone
+    could hand one of them the other's digest.
+    """
+    return tuple(map(type, vars(config).values()))
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _config_hash(
+    system: "SystemConfig",
+    pipeline: "PipelineConfig",
+    sampling: "SamplingConfig | None",
+    engine: str | None,
+    types: tuple[Any, ...],
+) -> str:
+    config_payload: dict[str, Any] = {
+        "system": asdict(system),
+        "pipeline": asdict(pipeline),
     }
+    if sampling is not None:
+        config_payload["sampling"] = sampling.to_payload()
+    if engine is not None:
+        config_payload["engine"] = engine
+    return stable_hash(config_payload)
+
+
+@functools.lru_cache(maxsize=4096, typed=True)
+def _workload_hash(
+    spec: "WorkloadSpec", n_branches: int, types: tuple[Any, ...]
+) -> str:
+    # Specs may carry a content-addressed identity hook (imported
+    # traces hash their normalised payload, not their local path);
+    # synthetic specs keep the historical asdict() payload and hashes.
+    payload_fn = getattr(spec, "workload_hash_payload", None)
+    spec_payload: Any = payload_fn() if callable(payload_fn) else asdict(spec)
+    return stable_hash({"spec": spec_payload, "branches": n_branches})
 
 
 def build_manifest(
@@ -104,6 +153,7 @@ def build_manifest(
     scale: str | None = None,
     sampling: "SamplingConfig | None" = None,
     engine: str | None = None,
+    env: EnvPairs | None = None,
 ) -> RunManifest:
     """Assemble the provenance record for one (workload, system) run.
 
@@ -115,29 +165,24 @@ def build_manifest(
     ``engine`` (the batch kernel's functional results carry no timing)
     is folded in the same way, for the same reason: a batch result must
     never be served from the cache for an exact-timing request.
+
+    Both hashes are memoized per distinct frozen input, so a sweep pays
+    for each payload once.  ``env`` is an environment captured earlier
+    by :func:`capture_env` (the scheduler captures it when it plans a
+    job); without it the environment is captured now.
     """
-    config_payload: dict[str, Any] = {
-        "system": asdict(system),
-        "pipeline": asdict(pipeline),
-    }
-    sampling_payload: dict[str, Any] | None = None
-    if sampling is not None and sampling.enabled:
-        sampling_payload = sampling.to_payload()
-        config_payload["sampling"] = sampling_payload
-    if engine is not None:
-        config_payload["engine"] = engine
-    # Specs may carry a content-addressed identity hook (imported
-    # traces hash their normalised payload, not their local path);
-    # synthetic specs keep the historical asdict() payload and hashes.
-    payload_fn = getattr(spec, "workload_hash_payload", None)
-    spec_payload: Any = payload_fn() if callable(payload_fn) else asdict(spec)
-    workload_payload = {
-        "spec": spec_payload,
-        "branches": n_branches,
-    }
+    if sampling is not None and not sampling.enabled:
+        sampling = None
+    sampling_payload = sampling.to_payload() if sampling is not None else None
+    config_types = (
+        _types(system),
+        _types(pipeline),
+        None if sampling_payload is None else tuple(map(type, sampling_payload.values())),
+    )
+    spec_types = (_types(spec), _types(spec.params))
     return RunManifest(
-        config_hash=stable_hash(config_payload),
-        workload_hash=stable_hash(workload_payload),
+        config_hash=_config_hash(system, pipeline, sampling, engine, config_types),
+        workload_hash=_workload_hash(spec, n_branches, spec_types),
         workload=spec.name,
         system=system.name,
         branches=n_branches,
@@ -145,7 +190,7 @@ def build_manifest(
         scale=scale,
         python=platform.python_version(),
         platform=f"{sys.platform}-{platform.machine()}",
-        env=_captured_env(),
+        env=dict(capture_env() if env is None else env),
         sampling=sampling_payload,
         engine=engine,
     )

@@ -2,7 +2,6 @@
 
 from repro.workloads.categories import CATEGORIES, CATEGORY_COUNTS, base_params
 from repro.workloads.generators.engine import generate_trace
-from repro.workloads.simpoint import Phase, select_phases
 from repro.workloads.spec import WorkloadParams, WorkloadSpec
 from repro.workloads.suite import (
     build_suite,
@@ -22,6 +21,4 @@ __all__ = [
     "suite_by_category",
     "get_workload",
     "sample_suite",
-    "Phase",
-    "select_phases",
 ]

@@ -16,6 +16,7 @@ from repro.harness.scheduler import (
     default_executor,
     execute_job,
 )
+from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig
 
 _BASE = SystemConfig(name="baseline-tage", local_entries=None, scheme=None)
@@ -86,6 +87,55 @@ class TestPlanning:
         assert planned["workload_hash"] == ran["workload_hash"]
 
 
+class TestPlanTimeEnvironment:
+    def test_variable_set_between_plans_reaches_only_the_second(
+        self, tiny_spec, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_PLAN_PROBE", raising=False)
+        scheduler = Scheduler()
+        before = scheduler.plan([tiny_spec], [_BASE, _LOCAL], _BRANCHES)
+        monkeypatch.setenv("REPRO_PLAN_PROBE", "on")
+        after = scheduler.plan([tiny_spec], [_BASE, _LOCAL], _BRANCHES)
+        for old, new in zip(before, after):
+            old_manifest, new_manifest = old.manifest(), new.manifest()
+            assert "REPRO_PLAN_PROBE" not in old_manifest["env"]
+            assert new_manifest["env"]["REPRO_PLAN_PROBE"] == "on"
+            assert old_manifest["env"]["REPRO_TRACE_CACHE"] == "off"
+            for key in ("config_hash", "workload_hash"):
+                assert old_manifest[key] == new_manifest[key]
+
+    def test_run_keeps_the_plan_time_env(self, tiny_spec, monkeypatch):
+        monkeypatch.setenv("REPRO_PLAN_PROBE", "planned")
+        scheduler = Scheduler()
+        [job] = scheduler.plan([tiny_spec], [_BASE], 800)
+        monkeypatch.setenv("REPRO_PLAN_PROBE", "changed")
+        [result] = scheduler.run([job])
+        assert result.manifest["env"]["REPRO_PLAN_PROBE"] == "planned"
+
+    def test_unplanned_job_captures_at_manifest_time(self, tiny_spec, monkeypatch):
+        job = SimJob(spec=tiny_spec, system=_BASE, n_branches=800)
+        monkeypatch.setenv("REPRO_PLAN_PROBE", "late")
+        assert job.manifest()["env"]["REPRO_PLAN_PROBE"] == "late"
+
+    def test_edits_to_one_manifest_leave_the_next_unchanged(self, tiny_spec, monkeypatch):
+        monkeypatch.setenv("REPRO_PLAN_PROBE", "planned")
+        sampling = SamplingConfig(mode="periodic")
+        [job] = Scheduler().plan(
+            [tiny_spec], [_BASE], 800, sampling=sampling, specialize=True
+        )
+        first = job.manifest()
+        pristine = job.manifest()
+        first["env"]["REPRO_PLAN_PROBE"] = "edited"
+        first["env"]["REPRO_EXTRA"] = "1"
+        first["sampling"]["interval"] = 1
+        first["declined"] = {"batch": "edited"}
+        first["wall_s"] = 2.0
+        assert job.manifest() == pristine
+        assert pristine["env"]["REPRO_PLAN_PROBE"] == "planned"
+        assert pristine["sampling"] == sampling.to_payload()
+        assert "declined" not in pristine and pristine["wall_s"] is None
+
+
 class TestDefaultExecutor:
     def test_small_job_lists_run_inline(self):
         assert isinstance(default_executor(4, 2), InlineExecutor)
@@ -139,6 +189,19 @@ class TestCacheSplit:
         hits, misses = scheduler.split_cached(jobs)
         assert misses == [] and sorted(hits) == [0, 1]
         assert [hits[i].cycles for i in (0, 1)] == [r.cycles for r in first]
+
+    def test_cache_hits_carry_declined(self, tiny_spec, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
+        scheduler = Scheduler()
+        sampling = SamplingConfig(mode="periodic", interval=200, warmup=100, coverage=0.5)
+        jobs = scheduler.plan(
+            [tiny_spec], [_LOCAL], 700, sampling=sampling, specialize=True
+        )
+        [fresh] = scheduler.run(jobs)
+        hits, misses = scheduler.split_cached(jobs)
+        assert misses == []
+        for result in (fresh, hits[0]):
+            assert result.manifest["declined"] == {"specialize": "sampled run"}
 
     def test_partial_split(self, tiny_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
