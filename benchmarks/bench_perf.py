@@ -25,12 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.harness.perf import (
-    DEFAULT_SYSTEMS,
-    SAMPLING_BRANCHES,
-    SPECIALIZE_BRANCHES,
-    run_perf,
-)
+from repro.harness.perf import DEFAULT_SYSTEMS, SAMPLING_BRANCHES, run_perf
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -49,7 +44,6 @@ def test_bench_perf(benchmark, scale):
             "repeats": 1,
             "out": _REPO_ROOT / "BENCH_perf.json",
             "sampling_branches": None,
-            "specialize_branches": scale.branches_per_workload,
         },
         iterations=1,
         rounds=1,
@@ -61,22 +55,10 @@ def test_bench_perf(benchmark, scale):
     print(f"warm sweep speedup: {warm['speedup']:.0f}x")
     batch = payload["batch"]
     print(f"batch kernel speedup: {batch['speedup']:.1f}x")
-    specialize = payload["specialize"]
-    for name, row in specialize["systems"].items():
-        print(f"specialize {name}: {row['speedup']:.2f}x ({row['engine']})")
     assert set(payload["throughput"]) == set(DEFAULT_SYSTEMS)
     assert all(row["branches_per_s"] > 0 for row in payload["throughput"].values())
     assert warm["warm_wall_s"] < warm["cold_wall_s"]
     assert batch["mpki_identical"], "batch kernel diverged from the exact engine"
-    # Speedup is machine noise at pytest scales; bit-identity is the
-    # contract and holds at every scale (including generic fallbacks).
-    assert all(
-        row["stats_identical"] for row in specialize["systems"].values()
-    ), "specialized engine diverged from the generic exact engine"
-    probe = specialize["abort_probe"]
-    assert probe is None or probe["stats_identical"], (
-        "guard-abort path diverged from the generic exact engine"
-    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,18 +86,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="skip the batch-kernel-vs-scalar section",
     )
-    parser.add_argument(
-        "--specialize-branches",
-        type=int,
-        default=None,
-        help="trace length for the specialized-vs-generic section "
-        "(default: the locked benchmark length)",
-    )
-    parser.add_argument(
-        "--no-specialize",
-        action="store_true",
-        help="skip the specialized-engine section",
-    )
     args = parser.parse_args(argv)
     sampling_branches: int | None
     if args.no_sampling:
@@ -124,13 +94,6 @@ def main(argv: list[str] | None = None) -> int:
         sampling_branches = args.sampling_branches
     else:
         sampling_branches = SAMPLING_BRANCHES
-    specialize_branches: int | None
-    if args.no_specialize:
-        specialize_branches = None
-    elif args.specialize_branches is not None:
-        specialize_branches = args.specialize_branches
-    else:
-        specialize_branches = SPECIALIZE_BRANCHES
     payload = run_perf(
         workload=args.workload,
         branches=args.branches,
@@ -138,7 +101,6 @@ def main(argv: list[str] | None = None) -> int:
         out=args.out,
         sampling_branches=sampling_branches,
         batch=not args.no_batch,
-        specialize_branches=specialize_branches,
     )
     print(json.dumps(payload, indent=1, sort_keys=True))
     return 0

@@ -108,17 +108,6 @@ def _cache_override(args: argparse.Namespace) -> bool | None:
     return False if getattr(args, "no_result_cache", False) else None
 
 
-def _add_specialize_arg(parser: argparse.ArgumentParser) -> None:
-    """The shared --specialize flag (run, compare, sweep)."""
-    parser.add_argument(
-        "--specialize",
-        action="store_true",
-        help="run exact simulations through the trace-guided codegen "
-        "fast path (bit-identical; sampling and --telemetry force the "
-        "generic engine)",
-    )
-
-
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     """The shared --sample* flag group (run, compare, sweep)."""
     parser.add_argument(
@@ -188,26 +177,6 @@ def _print_sampling_note(result: RunResult) -> None:
     print(note)
 
 
-def _print_engine_note(result: RunResult) -> None:
-    manifest = result.manifest or {}
-    for request, why in manifest.get("declined", {}).items():
-        print(f"{'':24s} {request} declined: {why}")
-    info = manifest.get("specialize")
-    if not info:
-        return
-    if info.get("engine") == "specialized":
-        note = (
-            f"{'':24s} specialized: {info['template']} template, "
-            f"{info['specialized_branches']} of "
-            f"{info['total_branches']} branches"
-        )
-        if info.get("aborted"):
-            note += f", aborted on guard {info['guard']!r}"
-    else:
-        note = f"{'':24s} specialize declined: {info.get('reason', '?')}"
-    print(note)
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = resolve_workload(args.workload)
     system = _system_by_name(args.system)
@@ -218,11 +187,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             args.branches,
             use_result_cache=_cache_override(args),
             sampling=_sampling_config(args),
-            specialize=args.specialize,
         )
     _print_run(system.name, result)
     _print_sampling_note(result)
-    _print_engine_note(result)
     repair = result.extra.get("repair")
     if repair:
         print(
@@ -248,7 +215,6 @@ def _compare_results(
 ) -> list[RunResult]:
     """One run per Table 3 system, fanning out when --workers asks."""
     sampling = _sampling_config(args)
-    specialize = args.specialize
     if args.workers is not None and args.workers > 1 and not args.telemetry:
         # Plumb the request through the runner's REPRO_WORKERS contract
         # so nested sweeps (and worker processes) see the same setting.
@@ -268,7 +234,6 @@ def _compare_results(
             workers=args.workers,
             use_result_cache=_cache_override(args),
             sampling=sampling,
-            specialize=specialize,
         )
     # Sequential: required for tracing (a sink lives in this process).
     return [
@@ -278,7 +243,6 @@ def _compare_results(
             args.branches,
             use_result_cache=_cache_override(args),
             sampling=sampling,
-            specialize=specialize,
         )
         for system in TABLE3_SYSTEMS
     ]
@@ -356,7 +320,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         sampling=sampling,
         shard=shard,
         batch=args.batch,
-        specialize=args.specialize,
     )
     # Batch-kernel results are functional-only: no cycles, so no IPC.
     rows = [
@@ -410,15 +373,11 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         out=args.out,
         sampling_branches=None if args.no_sampling else args.sampling_branches,
         batch=not args.no_batch,
-        specialize_branches=None if args.no_specialize else args.specialize_branches,
     )
     print(f"workload {args.workload}, {args.branches} branches, "
           f"best of {args.repeats}\n")
     for name, row in payload["throughput"].items():
-        line = f"{name:24s} {row['branches_per_s']:>12,.0f} branches/s"
-        if "speedup_vs_reference" in row:
-            line += f"   ({row['speedup_vs_reference']:.2f}x vs reference)"
-        print(line)
+        print(f"{name:24s} {row['branches_per_s']:>12,.0f} branches/s")
     warm = payload["warm_sweep"]
     print(
         f"\nwarm sweep: cold {warm['cold_wall_s']:.2f}s -> "
@@ -443,27 +402,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"{batch['scalar_wall_s']:.2f}s -> batch "
             f"{batch['batch_wall_s']:.2f}s ({batch['speedup']:.0f}x, {check})"
         )
-    spec_section = payload.get("specialize")
-    if spec_section:
-        print(f"\nspecialized engine ({spec_section['branches']} branches):")
-        for name, row in spec_section["systems"].items():
-            check = (
-                "identical stats" if row["stats_identical"] else "STATS MISMATCH"
-            )
-            print(
-                f"{name:24s} {row['generic_branches_per_s']:>12,.0f} -> "
-                f"{row['specialized_branches_per_s']:>12,.0f} branches/s "
-                f"({row['speedup']:.2f}x, {check})"
-            )
-        probe = spec_section.get("abort_probe")
-        if probe:
-            check = (
-                "identical stats" if probe["stats_identical"] else "STATS MISMATCH"
-            )
-            print(
-                f"abort probe ({probe['system']}, guard at "
-                f"{probe['forced_at']}): aborted={probe['aborted']}, {check}"
-            )
     if args.out is not None:
         print(f"wrote {args.out}")
     if args.profile:
@@ -604,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force a real simulation even when REPRO_RESULT_CACHE is set",
     )
     _add_sampling_args(p_run)
-    _add_specialize_arg(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="all Table 3 systems on one workload")
@@ -630,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="force real simulations even when REPRO_RESULT_CACHE is set",
     )
     _add_sampling_args(p_cmp)
-    _add_specialize_arg(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_sweep = sub.add_parser(
@@ -682,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
         "exact MPKI, no pipeline timing",
     )
     _add_sampling_args(p_sweep)
-    _add_specialize_arg(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_trace = sub.add_parser(
@@ -774,19 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-batch",
         action="store_true",
         help="skip the batch-kernel-vs-scalar benchmark section",
-    )
-    p_perf.add_argument(
-        "--specialize-branches",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="trace length for the specialized-vs-generic section "
-        "(default 100000)",
-    )
-    p_perf.add_argument(
-        "--no-specialize",
-        action="store_true",
-        help="skip the specialized-engine benchmark section",
     )
     p_perf.add_argument(
         "--out",

@@ -15,7 +15,6 @@ __all__ = ["load", "RULE_MODULES"]
 #: Module basenames registering rules, in rule-ID order.
 RULE_MODULES: tuple[str, ...] = (
     "api",  # API001
-    "codegen",  # GEN001
     "determinism",  # DET001, DET002
     "errors",  # ERR001
     "imports",  # IMP001

@@ -237,30 +237,12 @@ class _Visitor(ast.NodeVisitor):
     summary="nondeterminism source in a simulation module",
     invariant="simulations are bit-deterministic under a seed",
     roles=(ModuleRole.SIM,),
-    version=2,
+    version=3,
 )
 def check_determinism(ctx: FileContext) -> Iterator[Violation]:
     visitor = _Visitor(ctx)
     visitor.visit(ctx.tree)
     yield from visitor.found
-    # Codegen templates are simulation code that only exists as a
-    # string until the specializer compiles it; scan their parsed
-    # bodies too, mapping lines back into the host file.
-    from dataclasses import replace as _replace
-
-    from repro.devtools.simlint.rules.codegen import iter_templates
-
-    for template in iter_templates(ctx.tree):
-        if template.tree is None:
-            continue  # GEN001 owns unparseable templates
-        inner = _Visitor(ctx)
-        inner.visit(template.tree)
-        for found in inner.found:
-            yield _replace(
-                found,
-                line=template.file_line(found.line),
-                message=f"in codegen template {template.name}: {found.message}",
-            )
 
 
 # ----------------------------------------------------------------- #

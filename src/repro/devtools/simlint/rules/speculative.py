@@ -144,7 +144,7 @@ class _Visitor(ast.NodeVisitor):
         ModuleRole.TELEMETRY,
         ModuleRole.SERVICE,
     ),
-    version=2,
+    version=3,
 )
 def check_speculative_writes(ctx: FileContext) -> Iterator[Violation]:
     if any(ctx.under(*prefix) for prefix in _TRUSTED_PREFIXES):
@@ -152,23 +152,3 @@ def check_speculative_writes(ctx: FileContext) -> Iterator[Violation]:
     visitor = _Visitor(ctx)
     visitor.visit(ctx.tree)
     yield from visitor.found
-    # Codegen templates ship as strings and are exec'd at run time; a
-    # speculative-state write hidden in one would bypass this rule
-    # entirely, so scan their parsed bodies too (lines mapped back into
-    # the host file).  The specializer's generated engines run outside
-    # the trusted directories, so no trusted-prefix exemption applies.
-    from dataclasses import replace as _replace
-
-    from repro.devtools.simlint.rules.codegen import iter_templates
-
-    for template in iter_templates(ctx.tree):
-        if template.tree is None:
-            continue  # GEN001 owns unparseable templates
-        inner = _Visitor(ctx)
-        inner.visit(template.tree)
-        for found in inner.found:
-            yield _replace(
-                found,
-                line=template.file_line(found.line),
-                message=f"in codegen template {template.name}: {found.message}",
-            )

@@ -55,18 +55,6 @@ class SimulationError(ReproError):
     """
 
 
-class SpecializationError(ReproError):
-    """A specialized engine could not be generated, compiled, or loaded.
-
-    Raised by :mod:`repro.pipeline.specialize` when codegen produces
-    source that fails its round-trip validation (``ast.parse`` /
-    ``compile``) or a cached engine file is unusable.  Guard *trips* at
-    run time are not errors — they abort back to the generic engine —
-    and are signalled internally with a subclass that never escapes the
-    driver.
-    """
-
-
 class ExperimentError(ReproError):
     """An experiment harness was invoked with an unknown id or bad scale."""
 

@@ -14,9 +14,6 @@ PR leaves a perf trajectory the next one can be compared against:
 * :func:`measure_batch` — the columnar batch sweep kernel
   (:mod:`repro.pipeline.batch`) vs the exact scalar engine on a
   16-config table-predictor sizing grid sharing one workload trace;
-* :func:`measure_specialize` — the trace-guided specialized engine
-  (:mod:`repro.pipeline.specialize`) vs the generic exact engine,
-  with a bit-identity check and a forced guard-abort probe;
 * :func:`profile_top` — cProfile hotspots of one run, for digging into
   a regression the numbers surface.
 
@@ -42,13 +39,7 @@ from typing import Any, Iterator, Sequence
 import repro
 from repro.errors import ExperimentError
 from repro.harness.result_cache import code_fingerprint
-from repro.harness.runner import (
-    RunResult,
-    build_model,
-    load_trace,
-    run_matrix,
-    run_single,
-)
+from repro.harness.runner import load_trace, run_matrix, run_single
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
 from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
@@ -59,15 +50,12 @@ __all__ = [
     "ThroughputSample",
     "BATCH_SWEEP_SPECS",
     "DEFAULT_SYSTEMS",
-    "REFERENCE_BRANCHES_PER_S",
     "SAMPLING_BRANCHES",
-    "SPECIALIZE_BRANCHES",
     "resolve_systems",
     "measure_throughput",
     "measure_warm_sweep",
     "measure_sampling",
     "measure_batch",
-    "measure_specialize",
     "profile_top",
     "run_perf",
 ]
@@ -79,16 +67,6 @@ _SCHEMA_VERSION = 4
 #: paper's headline local-unit configuration (TAGE + loop predictor +
 #: forward-walk-coalesce repair), whose per-branch work is the largest.
 DEFAULT_SYSTEMS: tuple[str, ...] = ("baseline-tage", "forward-walk-coalesce")
-
-#: Pre-overhaul throughput (branches/sec) measured on the development
-#: container (hpc-fft, 30k branches, CPython 3.12) before the hot-loop
-#: optimization pass — time zero of the perf trajectory.  Ratios
-#: against these are only meaningful on comparable hardware; absolute
-#: numbers in ``BENCH_perf.json`` are what CI trends.
-REFERENCE_BRANCHES_PER_S: dict[str, float] = {
-    "baseline-tage": 23_526.0,
-    "forward-walk-coalesce": 16_628.0,
-}
 
 _PERF_WORKLOAD = "hpc-fft"
 
@@ -344,99 +322,6 @@ def measure_batch(
     }
 
 
-#: Trace length for the specialization benchmark.  Long enough that the
-#: fixed costs of the specialized path (profile prefix, planning,
-#: codegen + compile) amortise to their steady-state share; the
-#: speedup over the generic engine and the bit-identity check are
-#: measured at this length.
-SPECIALIZE_BRANCHES = 100_000
-
-
-def _stats_identical(a: RunResult, b: RunResult) -> bool:
-    """Bit-identity of two exact runs' whole results.
-
-    ``RunResult`` equality covers every stat and the ``extra`` payload
-    (BTB, memory, unit and repair counters) and excludes the manifest,
-    which differs between engines by design.
-    """
-    return a == b
-
-
-def measure_specialize(
-    spec: WorkloadSpec,
-    systems: Sequence[SystemConfig],
-    n_branches: int = SPECIALIZE_BRANCHES,
-    repeats: int = 3,
-) -> dict[str, Any]:
-    """Generic vs specialized exact engine: wall-clock and bit-identity.
-
-    Runs each system both ways (cold, best of ``repeats``) and reports
-    the speedup together with ``stats_identical`` — the specialized
-    engine's whole contract is *identical stats, only faster*, so a
-    speedup with non-identical stats is a bug, not a win.  A final
-    forced guard-abort probe (``force_abort_at`` midway through the
-    trace) checks that the abort path — restore from the last
-    checkpoint, finish on the generic engine — is bit-identical too,
-    and that run_specialized reports the abort.
-    """
-    from repro.pipeline.specialize import run_specialized
-
-    load_trace(spec, n_branches)
-    rows: dict[str, Any] = {}
-    for system in systems:
-        generic_wall = special_wall = float("inf")
-        generic = special = None
-        for _ in range(max(1, repeats)):
-            t0 = perf_counter()
-            generic = run_single(spec, system, n_branches, use_result_cache=False)
-            generic_wall = min(generic_wall, perf_counter() - t0)
-            t0 = perf_counter()
-            special = run_single(
-                spec, system, n_branches, use_result_cache=False, specialize=True
-            )
-            special_wall = min(special_wall, perf_counter() - t0)
-        assert generic is not None and special is not None
-        assert special.manifest is not None
-        info = dict(special.manifest.get("specialize", {}))
-        rows[system.name] = {
-            "generic_wall_s": round(generic_wall, 6),
-            "specialized_wall_s": round(special_wall, 6),
-            "speedup": round(generic_wall / special_wall, 3) if special_wall else 0.0,
-            "generic_branches_per_s": round(n_branches / generic_wall, 1),
-            "specialized_branches_per_s": round(n_branches / special_wall, 1),
-            "stats_identical": _stats_identical(generic, special),
-            "engine": info.get("engine"),
-            "template": info.get("template"),
-            "specialized_branches": info.get("specialized_branches"),
-            "checkpoints": info.get("checkpoints"),
-        }
-    # Abort probe on the first system: trip a guard midway and confirm
-    # the generic-finish path reproduces the generic stats exactly.
-    abort: dict[str, Any] | None = None
-    if systems:
-        system = systems[0]
-        records = load_trace(spec, n_branches)
-        generic_stats = build_model(system).run(records)
-        aborted, probe = run_specialized(
-            build_model(system), records, force_abort_at=n_branches // 2
-        )
-        abort = {
-            "system": system.name,
-            "forced_at": n_branches // 2,
-            "aborted": probe["aborted"],
-            "guard": probe["guard"],
-            "guards_failed": probe["guards_failed"],
-            "aborts": probe["aborts"],
-            "stats_identical": aborted == generic_stats,
-        }
-    return {
-        "workload": spec.name,
-        "branches": n_branches,
-        "systems": rows,
-        "abort_probe": abort,
-    }
-
-
 def profile_top(
     spec: WorkloadSpec,
     system: SystemConfig,
@@ -463,15 +348,13 @@ def run_perf(
     out: str | Path | None = "BENCH_perf.json",
     sampling_branches: int | None = SAMPLING_BRANCHES,
     batch: bool = True,
-    specialize_branches: int | None = SPECIALIZE_BRANCHES,
 ) -> dict[str, Any]:
     """Measure throughput + warm-sweep reuse and write ``BENCH_perf.json``.
 
     Returns the written payload.  ``out=None`` skips the file write
     (used by the CI smoke path's dry invocations and by tests);
     ``sampling_branches=None`` skips the (comparatively slow) sampled
-    vs exact section; ``batch=False`` skips the batch-kernel section;
-    ``specialize_branches=None`` skips the specialized-engine section.
+    vs exact section; ``batch=False`` skips the batch-kernel section.
     """
     spec = get_workload(workload)
     configs = resolve_systems(systems)
@@ -483,22 +366,13 @@ def run_perf(
         else None
     )
     batch_section = measure_batch(spec, branches, repeats=repeats) if batch else None
-    specialize_section = (
-        measure_specialize(spec, configs, specialize_branches, repeats=repeats)
-        if specialize_branches is not None
-        else None
-    )
-    throughput: dict[str, Any] = {}
-    for sample in samples:
-        row: dict[str, Any] = {
+    throughput = {
+        sample.system: {
             "wall_s": round(sample.wall_s, 6),
             "branches_per_s": round(sample.branches_per_s, 1),
         }
-        reference = REFERENCE_BRANCHES_PER_S.get(sample.system)
-        if reference:
-            row["reference_branches_per_s"] = reference
-            row["speedup_vs_reference"] = round(sample.branches_per_s / reference, 3)
-        throughput[sample.system] = row
+        for sample in samples
+    }
     payload: dict[str, Any] = {
         "bench": "perf",
         "schema_version": _SCHEMA_VERSION,
@@ -509,7 +383,6 @@ def run_perf(
         "warm_sweep": {key: round(value, 6) for key, value in warm.items()},
         "sampling": sampling,
         "batch": batch_section,
-        "specialize": specialize_section,
         "env": {
             "python": platform.python_version(),
             "platform": f"{sys.platform}-{platform.machine()}",

@@ -23,7 +23,7 @@ from repro.harness.scheduler import SimJob, select_engine
 from repro.harness.systems import SystemConfig, build_system
 from repro.memory.hierarchy import CacheHierarchy
 from repro.metrics.aggregate import WorkloadResult
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import DEFAULT_PIPELINE, PipelineConfig
 from repro.pipeline.core import PipelineModel
 from repro.telemetry import TELEMETRY
 from repro.trace.io import read_trace, write_trace
@@ -245,7 +245,7 @@ def build_model(
     return PipelineModel(
         baseline,
         unit=unit,
-        config=pipeline if pipeline is not None else PipelineConfig(),
+        config=pipeline if pipeline is not None else DEFAULT_PIPELINE,
         hierarchy=CacheHierarchy(),
     )
 
@@ -257,7 +257,6 @@ def run_single(
     pipeline: PipelineConfig | None = None,
     use_result_cache: bool | None = None,
     sampling: SamplingConfig | None = None,
-    specialize: bool = False,
 ) -> RunResult:
     """Simulate one system on one workload.
 
@@ -269,19 +268,11 @@ def run_single(
 
     ``sampling`` selects the sampled two-speed engine
     (:func:`repro.harness.sampling.run_sampled`); ``None`` or a config
-    with ``mode="off"`` runs the exact simulation.  ``specialize``
-    requests the trace-guided codegen fast path
-    (:func:`repro.pipeline.specialize.run_specialized`), bit-identical
-    to the generic exact engine.  The engine is chosen by
-    :func:`~repro.harness.scheduler.select_engine`; requests it declines
-    are listed under ``manifest["declined"]``.
+    with ``mode="off"`` runs the exact simulation.  The engine is chosen
+    by :func:`~repro.harness.scheduler.select_engine`.
     """
     engine, declined = select_engine(
-        system,
-        sampling=sampling,
-        batch=False,
-        specialize=specialize,
-        telemetry=TELEMETRY.enabled,
+        system, sampling=sampling, batch=False, telemetry=TELEMETRY.enabled
     )
     return _simulate_job(
         SimJob(
@@ -297,7 +288,7 @@ def run_single(
 
 
 def _simulate_job(job: SimJob) -> RunResult:
-    """Run one planned job on its exact, specialized or sampled engine.
+    """Run one planned job on its exact or sampled engine.
 
     The job's manifest is its result-cache key; a fresh result is stored
     under it.  Batch jobs never come here: :func:`execute_job
@@ -315,14 +306,6 @@ def _simulate_job(job: SimJob) -> RunResult:
         t0 = perf_counter()
         if engine.sampling is not None:
             stats = run_sampled(model, records, engine.sampling)
-        elif engine.kind == "specialized":
-            from repro.pipeline.specialize import run_specialized
-
-            # Attached after build_manifest computed config_hash: the
-            # planner's decision describes the run, not the cache key.
-            stats, manifest["specialize"] = run_specialized(
-                model, records, config_hash=manifest["config_hash"]
-            )
         else:
             stats = model.run(records)
         manifest["wall_s"] = perf_counter() - t0
@@ -438,7 +421,6 @@ def run_matrix(
     sampling: SamplingConfig | None = None,
     shard: tuple[int, int] | None = None,
     batch: bool = False,
-    specialize: bool = False,
 ) -> list[RunResult]:
     """Run every system against every workload.
 
@@ -457,8 +439,8 @@ def run_matrix(
     to per-worker decoding.  Segments are unlinked on the way out even
     when a worker dies mid-sweep.
 
-    ``sampling``, ``batch`` and ``specialize`` request engines; each
-    job's engine is chosen by
+    ``sampling`` and ``batch`` request engines; each job's engine is
+    chosen by
     :func:`~repro.harness.scheduler.select_engine`.  Batch jobs
     (table-indexed predictor configs) sharing a workload are evaluated
     in one vectorised kernel pass (:mod:`repro.pipeline.batch`: exact
@@ -479,7 +461,6 @@ def run_matrix(
         sampling=sampling,
         shard=shard,
         batch=batch,
-        specialize=specialize,
     )
     executor = default_executor(
         len(jobs), len(systems), parallel=parallel, workers=workers

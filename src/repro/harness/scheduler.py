@@ -8,7 +8,7 @@ behaviour behind a concurrent API, so those concerns now live here:
 
 * :class:`Engine` and :func:`select_engine` — the engine a job runs
   on, chosen in exactly one place from the user's request (``batch``,
-  ``specialize``, ``sampling``) and the telemetry state;
+  ``sampling``) and the telemetry state;
 * :class:`SimJob` — one declarative, picklable (workload, system)
   simulation unit carrying its engine, with its provenance manifest
   available *before* the run (that manifest is the result-cache key and
@@ -38,7 +38,7 @@ from repro.harness.executors import (
 from repro.harness.result_cache import ResultCache, active_cache
 from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig, table_predictor_spec
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import DEFAULT_PIPELINE, PipelineConfig
 from repro.telemetry import TELEMETRY
 from repro.telemetry.manifest import EnvPairs, build_manifest, capture_env
 from repro.workloads.spec import WorkloadSpec
@@ -50,7 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "Engine",
     "EXACT",
-    "SPECIALIZED",
     "BATCH",
     "select_engine",
     "SimJob",
@@ -59,16 +58,14 @@ __all__ = [
     "default_executor",
 ]
 
-_ENGINE_KINDS = ("exact", "specialized", "batch", "sampled")
+_ENGINE_KINDS = ("exact", "batch", "sampled")
 
 
 @dataclass(frozen=True)
 class Engine:
-    """The engine one job runs on: exact, specialized, batch or sampled.
+    """The engine one job runs on: exact, batch or sampled.
 
     * ``exact`` — the generic detailed engine;
-    * ``specialized`` — trace-guided codegen
-      (:mod:`repro.pipeline.specialize`), bit-identical to exact;
     * ``batch`` — the columnar kernel (:mod:`repro.pipeline.batch`):
       exact predictions and MPKI, no pipeline timing;
     * ``sampled`` — interval sampling under ``sampling``, an estimate.
@@ -90,21 +87,12 @@ class Engine:
         """The manifest ``engine`` tag, folded into ``config_hash``.
 
         Exact and sampled runs carry none (a sampled run's config hash
-        covers its ``sampling`` payload instead).  The specialized tag
-        carries :data:`~repro.pipeline.specialize.SPECIALIZE_VERSION`,
-        so a codegen change invalidates cached specialized results.
+        covers its ``sampling`` payload instead).
         """
-        if self.kind == "batch":
-            return "batch"
-        if self.kind == "specialized":
-            from repro.pipeline.specialize import SPECIALIZE_VERSION
-
-            return f"specialize-v{SPECIALIZE_VERSION}"
-        return None
+        return "batch" if self.kind == "batch" else None
 
 
 EXACT = Engine()
-SPECIALIZED = Engine("specialized")
 BATCH = Engine("batch")
 
 #: Requests ``select_engine`` did not honour: ``(request, why)`` pairs.
@@ -116,7 +104,6 @@ def select_engine(
     *,
     sampling: SamplingConfig | None,
     batch: bool,
-    specialize: bool,
     telemetry: bool,
 ) -> tuple[Engine, Declined]:
     """Choose the engine for one (system, request); the only place that does.
@@ -124,15 +111,12 @@ def select_engine(
     Rules, in order:
 
     1. ``batch`` with an enabled ``sampling`` raises :class:`ConfigError`.
-    2. Enabled sampling runs sampled; ``specialize`` is declined.
-    3. Active ``telemetry`` runs exact; ``batch`` and ``specialize`` are
-       declined (batch results carry no event stream, and specialized
-       code elides the telemetry hooks).
+    2. Enabled sampling runs sampled.
+    3. Active ``telemetry`` runs exact; ``batch`` is declined (batch
+       results carry no event stream).
     4. ``batch`` on a table-indexed predictor runs on the batch kernel;
        on any other system it is declined.
-    5. ``specialize`` runs specialized (the run-time planner may still
-       fall back to generic code, recorded in ``manifest["specialize"]``).
-    6. Otherwise exact.
+    5. Otherwise exact.
 
     Returns the engine and the declined ``(request, why)`` pairs, which
     the run copies into ``manifest["declined"]`` after hashing.
@@ -145,19 +129,14 @@ def select_engine(
             "sampling simulates only selected intervals — pick one"
         )
     if sampled:
-        return Engine("sampled", sampling), (
-            (("specialize", "sampled run"),) if specialize else ()
-        )
+        return Engine("sampled", sampling), ()
+    if not batch:
+        return EXACT, ()
     if telemetry:
-        return EXACT, tuple(
-            (request, "telemetry active")
-            for request, asked in (("batch", batch), ("specialize", specialize))
-            if asked
-        )
-    if batch and table_predictor_spec(system) is not None:
+        return EXACT, (("batch", "telemetry active"),)
+    if table_predictor_spec(system) is not None:
         return BATCH, ()
-    declined: Declined = (("batch", "not a table predictor"),) if batch else ()
-    return (SPECIALIZED if specialize else EXACT), declined
+    return EXACT, (("batch", "not a table predictor"),)
 
 
 @dataclass(frozen=True)
@@ -187,12 +166,11 @@ class SimJob:
 
     def manifest(self) -> dict[str, Any]:
         """The provenance manifest this job's run would carry."""
-        pipeline_cfg = self.pipeline if self.pipeline is not None else PipelineConfig()
         return build_manifest(
             self.spec,
             self.system,
             self.n_branches,
-            pipeline_cfg,
+            self.pipeline if self.pipeline is not None else DEFAULT_PIPELINE,
             sampling=self.engine.sampling,
             engine=self.engine.tag,
             env=self.env,
@@ -278,7 +256,6 @@ class Scheduler:
         sampling: SamplingConfig | None = None,
         shard: tuple[int, int] | None = None,
         batch: bool = False,
-        specialize: bool = False,
     ) -> list[SimJob]:
         """The workload-major job list, optionally shard-sliced.
 
@@ -293,13 +270,7 @@ class Scheduler:
         telemetry = TELEMETRY.enabled
         env = capture_env()
         choices = [
-            select_engine(
-                system,
-                sampling=sampling,
-                batch=batch,
-                specialize=specialize,
-                telemetry=telemetry,
-            )
+            select_engine(system, sampling=sampling, batch=batch, telemetry=telemetry)
             for system in systems
         ]
         jobs = [

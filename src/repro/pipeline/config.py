@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigError
 
-__all__ = ["PipelineConfig"]
+__all__ = ["DEFAULT_PIPELINE", "PipelineConfig"]
 
 
 @dataclass(frozen=True)
@@ -101,3 +101,9 @@ class PipelineConfig:
     def mispredict_penalty_estimate(self) -> int:
         """Approximate full misprediction penalty (for documentation)."""
         return self.resteer_penalty + self.frontend_depth + self.sched_to_exec
+
+
+#: The paper's core as one shared value.  ``PipelineConfig`` is frozen,
+#: so every caller that takes ``None`` for the default uses this instead
+#: of building a fresh one per call.
+DEFAULT_PIPELINE = PipelineConfig()

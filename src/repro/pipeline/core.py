@@ -40,7 +40,7 @@ from repro.core.unit import LocalBranchUnit
 from repro.errors import SimulationError
 from repro.memory.hierarchy import CacheHierarchy
 from repro.pipeline.btb import BranchTargetBuffer
-from repro.pipeline.config import PipelineConfig
+from repro.pipeline.config import DEFAULT_PIPELINE, PipelineConfig
 from repro.pipeline.stats import SimStats
 from repro.predictors.base import GlobalPredictor
 from repro.telemetry import TELEMETRY, EpisodeEvent, PredictEvent, RetireEvent
@@ -69,7 +69,7 @@ class PipelineModel:
         config: PipelineConfig | None = None,
         hierarchy: CacheHierarchy | None = None,
     ) -> None:
-        self.config = config if config is not None else PipelineConfig()
+        self.config = config if config is not None else DEFAULT_PIPELINE
         self.baseline = baseline
         self.unit = unit
         self.hierarchy = hierarchy
@@ -89,7 +89,7 @@ class PipelineModel:
         self._bind_hot_paths()
 
     def _bind_hot_paths(self) -> None:
-        """(Re)derive the per-branch bound methods and hoisted constants.
+        """Derive the per-branch bound methods and hoisted constants.
 
         Hot-path bindings: the baseline and BTB never change after
         construction, so the per-branch calls in _issue/_predict go
@@ -104,11 +104,6 @@ class PipelineModel:
         (the unit predicts from the in-flight branch), a pure lookup (a
         declined step re-runs the full predict path) and the default
         checkpoint/spec_push (the step pushes the history itself).
-
-        The specialized-engine driver (:mod:`repro.pipeline.specialize`)
-        calls this again after restoring a checkpoint, because a restore
-        replaces ``baseline``/``btb`` with deep copies the old bound
-        methods no longer point at.
         """
         baseline = self.baseline
         self._base_lookup = baseline.lookup
@@ -164,37 +159,20 @@ class PipelineModel:
         replay window starts empty at each segment boundary, so the
         first few mispredictions of a segment replay a shorter wrong
         path — a boundary effect sampling accepts by design.
-        """
-        stream = TraceStream(records, window=self.config.wrong_path_window)
-        self.run_stream(stream)
-
-    def run_stream(self, stream: TraceStream, limit: int | None = None) -> int:
-        """Consume up to ``limit`` records from an externally-owned stream.
-
-        Identical per-record behaviour to :meth:`run_segment`, but the
-        stream (and with it the wrong-path replay window) survives the
-        call — which is what lets the specialized-engine driver
-        (:mod:`repro.pipeline.specialize`) interleave generic prefix
-        simulation, specialized spans, and post-abort generic replay over
-        one uninterrupted window.  Returns the number of records consumed.
 
         Correctly predicted conditionals of a fusable system (see
         :meth:`_bind_hot_paths`) go through the predictor's fused step
         and build no per-branch objects.  Traced runs take the full
         path, so every conditional still emits its ``PredictEvent``.
         """
-        records = stream.records
+        stream = TraceStream(records, window=self.config.wrong_path_window)
         window_append = stream.window.append
-        start = pos = stream.position
-        stop = len(records) if limit is None else min(len(records), start + limit)
         rob = self._rob
         retire_up_to = self._retire_up_to
         issue = self._issue
         resolve_correct = self._resolve_correct
         fused = None if self._tel.tracing else self._fused_resolve
-        while pos < stop:
-            record = records[pos]
-            pos += 1
+        for record in stream.records:
             window_append(record)
             if rob and rob[0][0] <= self._fe_cycle:
                 retire_up_to(self._fe_cycle)
@@ -202,12 +180,9 @@ class PipelineModel:
             if branch is None:
                 continue
             if branch.predicted_taken != record.taken:
-                stream.seek(pos)
                 self._mispredict_episode(branch, stream)
             else:
                 resolve_correct(branch)
-        stream.seek(pos)
-        return pos - start
 
     def current_cycle(self) -> int:
         """Front-end/retirement high-water mark, for per-segment deltas.

@@ -50,7 +50,7 @@ class GlobalPredictor(abc.ABC):
     #: (:class:`~repro.pipeline.core.PipelineModel`) relies on this to
     #: re-run the full predict path after :meth:`spec_resolve_correct`
     #: declines; predictors that cannot promise it always take the full
-    #: path, and are never specialized either.
+    #: path.
     pure_lookup: bool = False
 
     def __init__(self, history: GlobalHistory | None = None) -> None:

@@ -62,22 +62,10 @@ _KINDS = ("run", "compare", "sweep")
 _DEFAULT_BRANCHES = {"run": 20_000, "compare": 15_000, "sweep": 15_000}
 
 _ALLOWED_FIELDS: dict[str, frozenset[str]] = {
-    "run": frozenset(
-        {"kind", "workload", "system", "branches", "sampling", "specialize"}
-    ),
-    "compare": frozenset(
-        {"kind", "workload", "systems", "branches", "sampling", "specialize"}
-    ),
+    "run": frozenset({"kind", "workload", "system", "branches", "sampling"}),
+    "compare": frozenset({"kind", "workload", "systems", "branches", "sampling"}),
     "sweep": frozenset(
-        {
-            "kind",
-            "branches",
-            "per_category",
-            "systems",
-            "shard",
-            "sampling",
-            "specialize",
-        }
+        {"kind", "branches", "per_category", "systems", "shard", "sampling"}
     ),
 }
 
@@ -160,16 +148,6 @@ def _sampling(payload: Mapping[str, Any]) -> SamplingConfig | None:
     )
 
 
-def _specialize(payload: Mapping[str, Any]) -> bool:
-    """The ``specialize`` request field: a JSON boolean, default false."""
-    value = payload.get("specialize")
-    if value is not None and not isinstance(value, bool):
-        raise ServiceError(
-            f"request field 'specialize' must be a boolean, got {value!r}"
-        )
-    return bool(value)
-
-
 def _shard(payload: Mapping[str, Any]) -> tuple[int, int] | None:
     value = payload.get("shard")
     if value is None:
@@ -216,12 +194,9 @@ def parse_request(payload: Any) -> ServiceRequest:
         )
     branches = _branches(payload, kind)
     sampling = _sampling(payload)
-    specialize = _specialize(payload)
     echo: dict[str, Any] = {"kind": kind, "branches": branches}
     if sampling is not None:
         echo["sampling"] = sampling.to_payload()
-    if specialize:
-        echo["specialize"] = True
 
     shard: tuple[int, int] | None = None
     if kind == "sweep":
@@ -251,12 +226,7 @@ def parse_request(payload: Any) -> ServiceRequest:
             systems = _systems(payload)
             echo.update(workload=spec.name, systems=[s.name for s in systems])
     jobs = Scheduler().plan(
-        workloads,
-        systems,
-        branches,
-        sampling=sampling,
-        shard=shard,
-        specialize=specialize,
+        workloads, systems, branches, sampling=sampling, shard=shard
     )
 
     if not jobs:

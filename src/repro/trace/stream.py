@@ -50,17 +50,21 @@ class TraceStream:
 
     @property
     def records(self) -> tuple[BranchRecord, ...]:
-        """The full committed stream (read-only view for fast readers)."""
+        """The full committed stream, for readers that iterate it directly.
+
+        Reading it does not advance :attr:`position`; such a reader keeps
+        :attr:`window` current itself.
+        """
         return self._records
 
     @property
     def window(self) -> deque[BranchRecord]:
         """The live replay window.
 
-        Exposed so externally-driven readers (the specialized engines of
-        :mod:`repro.pipeline.specialize`) can keep the window current
-        while consuming :attr:`records` by index; combine with
-        :meth:`seek` to hand the stream back in a consistent state.
+        Exposed so a reader that iterates :attr:`records` itself (the
+        generic engine's per-record loop,
+        :meth:`~repro.pipeline.core.PipelineModel.run_segment`) can keep
+        the window current without going through :meth:`next_record`.
         """
         return self._window
 
@@ -96,30 +100,6 @@ class TraceStream:
             return []
         window = list(self._window)
         return window[-count:]
-
-    def seek(self, position: int) -> None:
-        """Set the read position to ``position`` (records delivered externally).
-
-        Used by readers that consume :attr:`records` directly (appending
-        to :attr:`window` themselves) to resynchronise the stream before
-        handing it to code that calls :meth:`next_record`.
-        """
-        if not 0 <= position <= len(self._records):
-            raise TraceError(
-                f"seek position {position} outside trace of {len(self._records)}"
-            )
-        self._pos = position
-
-    def checkpoint(self) -> tuple[int, list[BranchRecord]]:
-        """Snapshot of (position, replay window) for later :meth:`restore`."""
-        return self._pos, list(self._window)
-
-    def restore(self, state: tuple[int, list[BranchRecord]]) -> None:
-        """Rewind to a :meth:`checkpoint`; the window contents come back too."""
-        position, window = state
-        self.seek(position)
-        self._window.clear()
-        self._window.extend(window)
 
     def restart(self) -> None:
         """Rewind to the beginning and clear the replay window."""

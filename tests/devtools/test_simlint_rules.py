@@ -53,61 +53,6 @@ class TestSpec001:
         )
 
 
-class TestGen001:
-    def test_fixture_lines(self):
-        found = fixture_violations("gen001.py", ModuleRole.SIM, "GEN001")
-        assert [v.line for v in found] == [9, 14, 15, 16]
-
-    def test_parse_eval_exec_compile_reported(self):
-        messages = " ".join(
-            v.message
-            for v in fixture_violations("gen001.py", ModuleRole.SIM, "GEN001")
-        )
-        for needle in ("does not parse", "eval()", "exec()", "compile()"):
-            assert needle in messages
-
-    def test_clean_template_and_non_template_strings_ignored(self):
-        source = (
-            'STEP_TEMPLATE = """\n'
-            "def step(records):\n"
-            "    return len(records)\n"
-            '"""\n'
-            "other = \"def f():\\n    return eval('1')\\n\"\n"
-        )
-        assert lint_source(source, "x.py", role=ModuleRole.SIM, select=["GEN001"]) == []
-
-    def test_real_templates_pass(self):
-        specialize = (
-            Path(__file__).parents[2] / "src" / "repro" / "pipeline" / "specialize.py"
-        )
-        found = lint_file(str(specialize), role=ModuleRole.SIM, select=["GEN001"])
-        assert found == []
-
-    def test_det001_scans_template_bodies(self):
-        found = fixture_violations("gen001.py", ModuleRole.SIM, "DET001")
-        assert [v.line for v in found] == [25, 26]
-        assert all("TAINTED_STEP_TEMPLATE" in v.message for v in found)
-
-    def test_spec001_scans_template_bodies(self):
-        found = fixture_violations("gen001.py", ModuleRole.SIM, "SPEC001")
-        assert [v.line for v in found] == [27]
-        assert "in codegen template" in found[0].message
-
-    def test_spec001_template_scan_respects_trusted_prefixes(self):
-        source = (
-            'STEP_TEMPLATE = """\n'
-            "def step(unit):\n"
-            "    unit.bht._state[0] = 1\n"
-            '"""\n'
-        )
-        assert lint_source(
-            source, "src/repro/core/x.py", select=["SPEC001"]
-        ) == []
-        assert lint_source(
-            source, "src/repro/pipeline/x.py", select=["SPEC001"]
-        )
-
-
 class TestTel001:
     def test_fixture_lines(self):
         found = fixture_violations("tel001.py", ModuleRole.SIM, "TEL001")

@@ -208,7 +208,7 @@ class TestCli:
         out_path = tmp_path / "perf.json"
         code = main(
             ["perf", "--branches", "600", "--repeats", "1",
-             "--systems", "baseline-tage", "--no-sampling", "--no-specialize",
+             "--systems", "baseline-tage", "--no-sampling",
              "--out", str(out_path)]
         )
         assert code == 0

@@ -20,6 +20,11 @@ class TestParsing:
         assert args.system == "forward-walk-coalesce"
         assert args.branches == 20_000
 
+    def test_run_rejects_specialize(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["run", "--workload", "hpc-fft", "--specialize"])
+        assert exc.value.code == 2
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert args.port == 8321

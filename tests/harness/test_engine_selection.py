@@ -20,7 +20,6 @@ from repro.harness.scale import Scale
 from repro.harness.scheduler import (
     BATCH,
     EXACT,
-    SPECIALIZED,
     Engine,
     Scheduler,
     SimJob,
@@ -35,35 +34,27 @@ _PERIODIC = SamplingConfig(mode="periodic", interval=200, warmup=100, coverage=0
 _SAMPLINGS = {"none": None, "off": SamplingConfig(mode="off"), "periodic": _PERIODIC}
 _BRANCHES = 600
 
-_CASES = list(
-    itertools.product(_SYSTEMS, _SAMPLINGS, (False, True), (False, True), (False, True))
-)
+_CASES = list(itertools.product(_SYSTEMS, _SAMPLINGS, (False, True), (False, True)))
 
 
 def _case_id(case):
-    system, sampling, batch, specialize, telemetry = case
+    system, sampling, batch, telemetry = case
     flags = [f"sampling={sampling}"]
-    flags += [name for name, on in (("batch", batch), ("specialize", specialize),
-                                    ("telemetry", telemetry)) if on]
+    flags += [name for name, on in (("batch", batch), ("telemetry", telemetry)) if on]
     return "-".join([system, *flags])
 
 
-def _expected(system, sampling, batch, specialize, telemetry):
+def _expected(system, sampling, batch, telemetry):
     """The rule list, written out independently of the implementation."""
     if sampling == "periodic":
         if batch:
             return ConfigError
-        return Engine("sampled", _PERIODIC), (
-            {"specialize": "sampled run"} if specialize else {}
-        )
+        return Engine("sampled", _PERIODIC), {}
     if telemetry:
-        declined = {name: "telemetry active"
-                    for name, on in (("batch", batch), ("specialize", specialize)) if on}
-        return EXACT, declined
+        return EXACT, {"batch": "telemetry active"} if batch else {}
     if batch and system == "gshare:14:12":
         return BATCH, {}
-    declined = {"batch": "not a table predictor"} if batch else {}
-    return (SPECIALIZED if specialize else EXACT), declined
+    return EXACT, {"batch": "not a table predictor"} if batch else {}
 
 
 @pytest.fixture(autouse=True)
@@ -86,10 +77,9 @@ def telemetry_state():
 
 @pytest.mark.parametrize("case", _CASES, ids=_case_id)
 def test_rule_list(case):
-    system, sampling, batch, specialize, telemetry = case
+    system, sampling, batch, telemetry = case
     expected = _expected(*case)
-    request = dict(sampling=_SAMPLINGS[sampling], batch=batch,
-                   specialize=specialize, telemetry=telemetry)
+    request = dict(sampling=_SAMPLINGS[sampling], batch=batch, telemetry=telemetry)
     if expected is ConfigError:
         with pytest.raises(ConfigError, match="mutually exclusive"):
             select_engine(resolve_system(system), **request)
@@ -102,13 +92,12 @@ def test_rule_list(case):
     "case", [c for c in _CASES if _expected(*c) is not ConfigError], ids=_case_id
 )
 def test_planned_manifest_is_the_run_manifest(case, telemetry_state):
-    system_name, sampling, batch, specialize, telemetry = case
+    system_name, sampling, batch, telemetry = case
     system = resolve_system(system_name)
     spec = get_workload("hpc-fft")
     telemetry_state(telemetry)
     [job] = Scheduler().plan(
-        [spec], [system], _BRANCHES, sampling=_SAMPLINGS[sampling],
-        batch=batch, specialize=specialize,
+        [spec], [system], _BRANCHES, sampling=_SAMPLINGS[sampling], batch=batch
     )
     engine, declined = _expected(*case)
     assert job.engine == engine
@@ -118,10 +107,7 @@ def test_planned_manifest_is_the_run_manifest(case, telemetry_state):
     assert ran.manifest.get("engine") == planned.get("engine") == engine.tag
     assert ran.manifest.get("declined", {}) == declined
     if not batch:
-        direct = run_single(
-            spec, system, _BRANCHES, sampling=_SAMPLINGS[sampling],
-            specialize=specialize,
-        )
+        direct = run_single(spec, system, _BRANCHES, sampling=_SAMPLINGS[sampling])
         assert direct.manifest["config_hash"] == planned["config_hash"]
         assert direct.manifest.get("declined", {}) == declined
 
@@ -130,7 +116,6 @@ def test_planned_manifest_is_the_run_manifest(case, telemetry_state):
     "system,engine,config_hash",
     [
         ("baseline-tage", EXACT, "b8ae7b50aab96342"),
-        ("baseline-tage", SPECIALIZED, "f8b3bfaa3a7d83ce"),
         ("baseline-tage", Engine("sampled", SamplingConfig(mode="periodic")),
          "47e95c14b842a7c3"),
         ("forward-walk-coalesce", EXACT, "259b5725475f47aa"),
@@ -157,7 +142,7 @@ def test_run_matrix_rejects_batch_with_sampling():
 
 @pytest.mark.parametrize(
     "kind,sampling",
-    [("sampled", None), ("exact", _PERIODIC), ("fast", None)],
+    [("sampled", None), ("exact", _PERIODIC), ("fast", None), ("specialized", None)],
 )
 def test_malformed_engine_rejected(kind, sampling):
     with pytest.raises(ConfigError, match="invalid engine"):

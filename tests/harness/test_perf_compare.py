@@ -1,5 +1,4 @@
-"""The perf-compare tool: section tolerance, batch and specialize
-annotations."""
+"""The perf-compare tool: section tolerance and batch annotations."""
 
 import importlib.util
 import json
@@ -25,12 +24,6 @@ def _payload(**overrides):
             "configs": 16,
             "speedup": 80.0,
             "mpki_identical": True,
-        },
-        "specialize": {
-            "systems": {
-                "baseline-tage": {"speedup": 2.5, "stats_identical": True}
-            },
-            "abort_probe": {"aborted": True, "stats_identical": True},
         },
     }
     payload.update(overrides)
@@ -75,33 +68,3 @@ def test_batch_speedup_regression_warns(tmp_path, capsys):
     fresh["batch"] = {"configs": 16, "speedup": 8.0, "mpki_identical": True}
     assert _run(tmp_path, _payload(), fresh) == 0
     assert "batch-kernel speedup" in capsys.readouterr().out
-
-
-def test_missing_specialize_section_skips_with_note(tmp_path, capsys):
-    baseline = _payload()
-    del baseline["specialize"]
-    assert _run(tmp_path, baseline, _payload()) == 0
-    out = capsys.readouterr().out
-    assert "skipping 'specialize' section" in out
-    assert "::warning::" not in out
-
-
-def test_specialize_divergence_warns(tmp_path, capsys):
-    fresh = _payload()
-    fresh["specialize"]["systems"]["baseline-tage"]["stats_identical"] = False
-    assert _run(tmp_path, _payload(), fresh) == 0
-    assert "specialized-engine stats diverged" in capsys.readouterr().out
-
-
-def test_specialize_speedup_regression_warns(tmp_path, capsys):
-    fresh = _payload()
-    fresh["specialize"]["systems"]["baseline-tage"]["speedup"] = 1.2
-    assert _run(tmp_path, _payload(), fresh) == 0
-    assert "specialized-engine speedup" in capsys.readouterr().out
-
-
-def test_abort_probe_divergence_warns(tmp_path, capsys):
-    fresh = _payload()
-    fresh["specialize"]["abort_probe"]["stats_identical"] = False
-    assert _run(tmp_path, _payload(), fresh) == 0
-    assert "guard-abort path diverged" in capsys.readouterr().out

@@ -120,9 +120,7 @@ class TestPlanTimeEnvironment:
     def test_edits_to_one_manifest_leave_the_next_unchanged(self, tiny_spec, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_PROBE", "planned")
         sampling = SamplingConfig(mode="periodic")
-        [job] = Scheduler().plan(
-            [tiny_spec], [_BASE], 800, sampling=sampling, specialize=True
-        )
+        [job] = Scheduler().plan([tiny_spec], [_BASE], 800, sampling=sampling)
         first = job.manifest()
         pristine = job.manifest()
         first["env"]["REPRO_PLAN_PROBE"] = "edited"
@@ -193,15 +191,12 @@ class TestCacheSplit:
     def test_cache_hits_carry_declined(self, tiny_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
         scheduler = Scheduler()
-        sampling = SamplingConfig(mode="periodic", interval=200, warmup=100, coverage=0.5)
-        jobs = scheduler.plan(
-            [tiny_spec], [_LOCAL], 700, sampling=sampling, specialize=True
-        )
+        jobs = scheduler.plan([tiny_spec], [_LOCAL], 700, batch=True)
         [fresh] = scheduler.run(jobs)
         hits, misses = scheduler.split_cached(jobs)
         assert misses == []
         for result in (fresh, hits[0]):
-            assert result.manifest["declined"] == {"specialize": "sampled run"}
+            assert result.manifest["declined"] == {"batch": "not a table predictor"}
 
     def test_partial_split(self, tiny_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))

@@ -26,9 +26,8 @@ from repro.predictors.base import Prediction
 from repro.predictors.tage import TageConfig, TagePredictor
 from repro.telemetry import TELEMETRY, PredictEvent
 from repro.telemetry.sink import EventSink
-from repro.trace.records import BranchRecord
+from repro.trace.records import BranchKind, BranchRecord
 from repro.workloads.suite import get_workload
-from tests.pipeline.test_specialize import _synthetic_trace
 
 _FIXTURES = Path(__file__).resolve().parent.parent / "data" / "traces"
 
@@ -75,6 +74,31 @@ def _model(predictor: type[_CountingTage], config: TageConfig, unit=None):
 
 def _workload(name: str = "hpc-fft", n: int = 3000) -> list[BranchRecord]:
     return list(load_trace(get_workload(name), n))
+
+
+def _synthetic_trace(rng: random.Random, n: int) -> list[BranchRecord]:
+    """A mixed synthetic trace: loops, calls, loads, varied gaps."""
+    records = []
+    pcs = [0x1000 + 8 * i for i in range(24)]
+    for i in range(n):
+        pc = rng.choice(pcs)
+        kind = rng.choice(
+            [BranchKind.COND] * 8
+            + [BranchKind.UNCOND, BranchKind.CALL, BranchKind.RET, BranchKind.INDIRECT]
+        )
+        has_load = rng.random() < 0.3
+        records.append(
+            BranchRecord(
+                pc=pc,
+                target=pc + rng.choice([16, 64, -32 & 0xFFFF]),
+                taken=bool(kind is not BranchKind.COND or (pc // 8 + i) % 3),
+                kind=kind,
+                inst_gap=rng.randrange(0, 9),
+                load_addr=rng.randrange(0x2000, 0x8000, 8) if has_load else 0,
+                depends_on_load=bool(has_load and rng.random() < 0.5),
+            )
+        )
+    return records
 
 
 def _imported(fixture: str, name: str) -> list[BranchRecord]:
@@ -130,18 +154,6 @@ class TestFusedEqualsFullPath:
         assert "sampling" in stats.extra
         assert stats == run_sampled(reference, records, config)
         assert fused.baseline.lookups < reference.baseline.lookups
-
-    def test_rebinding_follows_a_replaced_baseline(self):
-        # The specialize driver swaps in a restored baseline and calls
-        # _bind_hot_paths; the fused step must then train the new one.
-        records = _workload()
-        model = _model(_CountingTage, TageConfig.kb8())
-        old = model.baseline
-        model.baseline = _CountingTage(TageConfig.kb8())
-        model._bind_hot_paths()
-        stats = model.run(records)
-        assert stats == _model(_UnfusedTage, TageConfig.kb8()).run(records)
-        assert old.history.ghist == 0 and old.lookups == 0
 
     def test_local_unit_system_takes_full_path(self):
         records = _workload()

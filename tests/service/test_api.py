@@ -119,6 +119,11 @@ class TestRejections:
         with pytest.raises(ServiceError, match="run"):
             parse_request({"kind": "run", "workload": "hpc-fft", "turbo": True})
 
+    @pytest.mark.parametrize("kind", ["run", "compare", "sweep"])
+    def test_specialize_is_an_unknown_field(self, kind):
+        with pytest.raises(ServiceError, match=rf"kind '{kind}': \['specialize'\]"):
+            parse_request({"kind": kind, "specialize": True})
+
 
 class TestDedupKeys:
     def test_identical_requests_share_a_key(self):

@@ -246,28 +246,6 @@ class TestDedup:
         job = _wait_state(base, body["job"]["id"], "done")
         assert job["cache_hits"] == 1 and job["sim_runs"] == 0
 
-    def test_cache_hit_keeps_declined_requests(self, live):
-        service, base = live
-        request = {
-            **_RUN,
-            "sampling": {"mode": "periodic", "interval": 250, "warmup": 100, "coverage": 0.5},
-            "specialize": True,
-        }
-        declined = []
-        for served_from_cache in (False, True):
-            if served_from_cache:
-                # Forget the finished job so the result cache answers it.
-                with service.store._lock:
-                    service.store._jobs.clear()
-                    service.store._completed_by_key.clear()
-                    service.store._completed_order.clear()
-            _, body, _ = _post(base, request)
-            job = _wait_state(base, body["job"]["id"], "done")
-            assert job["cache_hits"] == int(served_from_cache)
-            [result] = service.store.get(job["id"]).results
-            declined.append(result.manifest.get("declined"))
-        assert declined == [{"specialize": "sampled run"}] * 2
-
 
 class TestAdmission:
     def test_sharded_executor_rejected(self):

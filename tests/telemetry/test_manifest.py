@@ -11,7 +11,7 @@ import pytest
 import repro
 from repro.harness import tracestore
 from repro.harness.sampling import SamplingConfig
-from repro.harness.scheduler import BATCH, SPECIALIZED
+from repro.harness.scheduler import BATCH
 from repro.harness.systems import TABLE3_SYSTEMS, resolve_system
 from repro.pipeline.config import PipelineConfig
 from repro.telemetry import manifest as manifest_module
@@ -31,7 +31,7 @@ _SAMPLINGS = {
     "off": SamplingConfig(mode="off"),
     "periodic": SamplingConfig(mode="periodic"),
 }
-_ENGINE_TAGS = {"none": None, "batch": BATCH.tag, "specialized": SPECIALIZED.tag}
+_ENGINE_TAGS = {"none": None, "batch": BATCH.tag}
 
 _HASH_SCRIPT = """\
 from repro.harness.systems import TABLE3_SYSTEMS

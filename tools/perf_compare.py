@@ -15,12 +15,11 @@ Usage (the CI perf-smoke job)::
     python tools/perf_compare.py BENCH_perf.json fresh_perf.json
 
 Throughput and warm-sweep ratios are compared whenever both files
-carry them; the sampled-vs-exact, batch-kernel and specialized-engine
-sections are compared only when both files measured them (older
-baselines predate them, and the smoke job can skip any with
-``--no-sampling`` / ``--no-batch`` / ``--no-specialize``).  A section
-present in only one file is skipped with a printed note — never a
-KeyError.
+carry them; the sampled-vs-exact and batch-kernel sections are compared
+only when both files measured them (older baselines predate them, and
+the smoke job can skip either with ``--no-sampling`` / ``--no-batch``).
+A section present in only one file is skipped with a printed note —
+never a KeyError.
 """
 
 from __future__ import annotations
@@ -42,12 +41,6 @@ SPEEDUP_TOLERANCE = 0.25
 #: Wider than the others: the denominator is a scalar sweep measured
 #: once, so the ratio inherits two runs' worth of runner noise.
 BATCH_SPEEDUP_TOLERANCE = 0.40
-
-#: Fractional loss of specialized-engine speedup that earns an
-#: annotation.  The ratio is generic-vs-specialized wall-clock of the
-#: same exact simulation, so it inherits two runs' worth of noise —
-#: same width as the batch tolerance.
-SPECIALIZE_SPEEDUP_TOLERANCE = 0.40
 
 #: Absolute relative-error ceilings for the sampled estimates — these
 #: are accuracy claims, not timings, so they are compared against the
@@ -191,46 +184,6 @@ def _compare_batch(baseline: dict[str, Any], fresh: dict[str, Any]) -> int:
     return warned
 
 
-def _compare_specialize(baseline: dict[str, Any], fresh: dict[str, Any]) -> int:
-    if not _sections_present("specialize", baseline, fresh):
-        return 0
-    base_rows = baseline["specialize"].get("systems") or {}
-    fresh_rows = fresh["specialize"].get("systems") or {}
-    warned = 0
-    for system, fresh_row in fresh_rows.items():
-        if not isinstance(fresh_row, dict):
-            continue
-        if fresh_row.get("stats_identical") is False:
-            _warn(
-                f"perf-smoke: {system} specialized-engine stats diverged from "
-                "the generic exact engine — this is a correctness regression, "
-                "not noise"
-            )
-            warned += 1
-        base_row = base_rows.get(system)
-        speedup = fresh_row.get("speedup")
-        base_speedup = (
-            base_row.get("speedup") if isinstance(base_row, dict) else None
-        )
-        if speedup and base_speedup:
-            change = speedup / base_speedup - 1.0
-            if change < -SPECIALIZE_SPEEDUP_TOLERANCE:
-                _warn(
-                    f"perf-smoke: {system} specialized-engine speedup "
-                    f"{speedup:.2f}x is {-change:.0%} below the committed "
-                    f"baseline ({base_speedup:.2f}x)"
-                )
-                warned += 1
-    probe = fresh["specialize"].get("abort_probe")
-    if isinstance(probe, dict) and probe.get("stats_identical") is False:
-        _warn(
-            "perf-smoke: guard-abort path diverged from the generic exact "
-            "engine — the restore-and-finish-generic contract is broken"
-        )
-        warned += 1
-    return warned
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", type=Path, help="committed BENCH_perf.json")
@@ -243,7 +196,6 @@ def main(argv: list[str] | None = None) -> int:
     warned = _compare_throughput(baseline, fresh)
     warned += _compare_sampling(baseline, fresh)
     warned += _compare_batch(baseline, fresh)
-    warned += _compare_specialize(baseline, fresh)
     if warned:
         print(f"perf-compare: {warned} warning(s) — non-gating, exit 0")
     else:
