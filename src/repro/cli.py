@@ -352,13 +352,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.harness.perf import (
-        DEFAULT_SYSTEMS,
-        profile_top,
-        resolve_systems,
-        run_perf,
-    )
-    from repro.workloads.suite import get_workload as _get
+    from repro.harness.perf import DEFAULT_SYSTEMS, run_perf
 
     systems = (
         [name.strip() for name in args.systems.split(",") if name.strip()]
@@ -404,11 +398,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         )
     if args.out is not None:
         print(f"wrote {args.out}")
-    if args.profile:
-        spec = _get(args.workload)
-        for config in resolve_systems(systems):
-            print(f"\n--- cProfile: {config.name} ---")
-            print(profile_top(spec, config, args.branches, top=args.profile))
     return 0
 
 
@@ -714,15 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default="BENCH_perf.json",
         help="output path for the perf report (default: BENCH_perf.json)",
-    )
-    p_perf.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=15,
-        default=None,
-        metavar="N",
-        help="also print each system's top-N cProfile hotspots",
     )
     p_perf.set_defaults(func=_cmd_perf)
 

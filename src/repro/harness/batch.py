@@ -28,7 +28,6 @@ from repro.harness.result_cache import active_cache
 from repro.harness.systems import table_predictor_spec
 from repro.pipeline.batch import DEFAULT_INTERVAL, BatchResult, run_batch
 from repro.telemetry import TELEMETRY
-from repro.trace.columns import ColumnarTrace, SharedTrace, load_columnar
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import RunResult
@@ -46,7 +45,7 @@ class BatchExecutor(Executor):
     (cached jobs are answered without touching the trace at all).
     Other jobs go to ``inner`` — so one sweep can batch its
     table-predictor sizings while its TAGE rows fan out over the
-    process pool, composing with shared-memory traces and sharding.
+    process pool, composing with sharding.
     """
 
     def __init__(
@@ -54,10 +53,6 @@ class BatchExecutor(Executor):
     ) -> None:
         self.inner = inner if inner is not None else InlineExecutor()
         self.interval = interval
-        # Delegate the scheduler's shm pre-generation decision to the
-        # inner executor: batch groups run in this process and read the
-        # published segments directly when present.
-        self.wants_shared_traces = self.inner.wants_shared_traces
 
     def execute(self, jobs: "Sequence[SimJob]") -> "list[RunResult]":
         results: "list[RunResult | None]" = [None] * len(jobs)
@@ -84,30 +79,6 @@ class BatchExecutor(Executor):
     # ------------------------------------------------------------- #
     # one workload group
 
-    def _materialise_trace(self, job: "SimJob") -> ColumnarTrace:
-        """The group's trace as columns, cheapest available source.
-
-        Preference order: the scheduler's shared-memory segment (zero
-        decode — the kernel copies the two columns it needs before the
-        handle closes), the on-disk trace cache via the memoized
-        columnar loader, and finally record generation.
-        """
-        from repro.harness.runner import load_trace, trace_cache_path
-
-        if job.shm_ref is not None:
-            name, count = job.shm_ref
-            shared = SharedTrace.attach(name, count)
-            try:
-                # Copy out of the segment: the scheduler unlinks it
-                # when execute() returns, results must not dangle.
-                return ColumnarTrace(shared.trace().array.copy())
-            finally:
-                shared.close()
-        path = trace_cache_path(job.spec, job.n_branches)
-        if path is not None and path.exists():
-            return load_columnar(path)
-        return ColumnarTrace.from_records(load_trace(job.spec, job.n_branches))
-
     def _run_group(self, jobs: "list[SimJob]") -> "list[RunResult]":
         """Kernel-evaluate one workload's batch jobs, cache-aware."""
         manifests = [job.manifest() for job in jobs]
@@ -121,7 +92,10 @@ class BatchExecutor(Executor):
             else:
                 misses.append(index)
         if misses:
-            trace = self._materialise_trace(jobs[misses[0]])
+            from repro.harness.runner import load_trace_columns
+
+            first = jobs[misses[0]]
+            trace = load_trace_columns(first.spec, first.n_branches)
             specs = []
             for index in misses:
                 spec = table_predictor_spec(jobs[index].system)

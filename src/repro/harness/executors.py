@@ -9,12 +9,12 @@ executor decides *where*.  Two strategies ship:
   result-cache behaviour, bit-identical outputs.  The CLI's small runs
   and the service's default worker path use this.
 * :class:`ProcessPoolExecutorBackend` — fan-out across local worker
-  processes.  Jobs carry optional shared-memory trace refs published by
-  the scheduler so workers do zero trace decodes (see
-  :mod:`repro.trace.columns`).
+  processes.  Each worker loads its jobs' traces itself, exactly as an
+  inline run does: it reads the trace-cache file, or generates the
+  trace and writes the file.
 
-Executors are deliberately dumb: no cache checks, no trace
-pre-generation, no telemetry policy — the scheduler owns all of that.
+Executors are deliberately dumb: no cache checks, no telemetry policy —
+the scheduler owns all of that.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ __all__ = ["Executor", "InlineExecutor", "ProcessPoolExecutorBackend"]
 
 class Executor(ABC):
     """One strategy for executing a planned list of jobs, in order."""
-
-    #: Whether the scheduler should pre-generate traces and publish
-    #: them to shared memory before calling :meth:`execute`.  Only the
-    #: local process pool benefits; inline runs memoize in-process.
-    wants_shared_traces: bool = False
 
     @abstractmethod
     def execute(self, jobs: "Sequence[SimJob]") -> "list[RunResult]":
@@ -54,12 +49,11 @@ class InlineExecutor(Executor):
 class ProcessPoolExecutorBackend(Executor):
     """Local multi-process fan-out over a :class:`ProcessPoolExecutor`.
 
-    ``chunksize`` groups consecutive jobs onto one worker; the
-    scheduler sizes it so a single worker handles all systems of a
-    workload back to back and its trace memo pays one decode per trace.
+    ``chunksize`` groups consecutive jobs onto one worker;
+    :func:`~repro.harness.scheduler.pool_executor` sizes it so a single
+    worker handles all systems of a workload back to back and its trace
+    memo pays one load per trace.
     """
-
-    wants_shared_traces = True
 
     def __init__(self, workers: int, chunksize: int = 1) -> None:
         self.workers = max(1, workers)

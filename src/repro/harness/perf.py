@@ -13,21 +13,16 @@ PR leaves a perf trajectory the next one can be compared against:
   result cache enabled (cold fill vs warm reuse);
 * :func:`measure_batch` — the columnar batch sweep kernel
   (:mod:`repro.pipeline.batch`) vs the exact scalar engine on a
-  16-config table-predictor sizing grid sharing one workload trace;
-* :func:`profile_top` — cProfile hotspots of one run, for digging into
-  a regression the numbers surface.
+  16-config table-predictor sizing grid sharing one workload trace.
 
 Entry points: ``repro perf`` (CLI) and ``benchmarks/bench_perf.py``.
 """
 
 from __future__ import annotations
 
-import cProfile
-import io
 import json
 import os
 import platform
-import pstats
 import sys
 import tempfile
 from contextlib import contextmanager
@@ -56,7 +51,6 @@ __all__ = [
     "measure_warm_sweep",
     "measure_sampling",
     "measure_batch",
-    "profile_top",
     "run_perf",
 ]
 
@@ -320,24 +314,6 @@ def measure_batch(
         else 0.0,
         "mpki_identical": identical,
     }
-
-
-def profile_top(
-    spec: WorkloadSpec,
-    system: SystemConfig,
-    n_branches: int,
-    top: int = 15,
-) -> str:
-    """cProfile one cold run; return the top functions by total time."""
-    load_trace(spec, n_branches)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_single(spec, system, n_branches, use_result_cache=False)
-    profiler.disable()
-    out = io.StringIO()
-    stats = pstats.Stats(profiler, stream=out)
-    stats.sort_stats("tottime").print_stats(top)
-    return out.getvalue()
 
 
 def run_perf(

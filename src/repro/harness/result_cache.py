@@ -97,10 +97,6 @@ class ResultCache:
         )
         return self.root / f"{key}.json"
 
-    def has(self, manifest: dict[str, Any]) -> bool:
-        """Whether a (possibly stale-formatted) entry exists on disk."""
-        return self.entry_path(manifest).exists()
-
     def load(self, manifest: dict[str, Any]) -> "RunResult | None":
         """Cached result for ``manifest``'s run, or None on a miss.
 

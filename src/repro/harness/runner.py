@@ -46,9 +46,6 @@ __all__ = [
 
 _CACHE_ENV = "REPRO_TRACE_CACHE"
 _WORKERS_ENV = "REPRO_WORKERS"
-#: Gate for the shared-memory trace transport used by parallel sweeps.
-#: Any of ``off``/``0``/``none``/``false`` disables it; default is on.
-_SHM_ENV = "REPRO_TRACE_SHM"
 
 
 @dataclass(frozen=True)
@@ -76,12 +73,6 @@ def _cache_dir() -> Path | None:
     if value in ("", "off", "none"):
         return None
     return Path(value)
-
-
-def _shm_enabled() -> bool:
-    """Whether parallel sweeps ship traces over shared memory."""
-    value = os.environ.get(_SHM_ENV, "on").lower()
-    return value not in ("", "off", "0", "none", "false")
 
 
 def _pid_alive(pid: int) -> bool:
@@ -120,9 +111,10 @@ def _sweep_stale_tmp(cache: Path) -> None:
 
 #: Worker-local memo of decoded traces.  A sweep hands each worker all
 #: systems of one workload back to back (see the ``chunksize`` grouping
-#: in :func:`run_matrix`), so a tiny LRU means each process decodes a
-#: given trace once instead of once per system.  Entries are shared
-#: lists of frozen records — callers must treat them as immutable.
+#: in :func:`~repro.harness.scheduler.pool_executor`), so a tiny LRU
+#: means each process decodes a given trace once instead of once per
+#: system.  Entries are shared lists of frozen records — callers must
+#: treat them as immutable.
 _TRACE_MEMO: OrderedDict[tuple[str, int, int], list[BranchRecord]] = OrderedDict()
 _TRACE_MEMO_MAX = 8
 
@@ -137,8 +129,9 @@ def trace_cache_path(spec: WorkloadSpec, n_branches: int) -> Path | None:
     """The on-disk cache file for a workload's trace, or None when off.
 
     The file is not guaranteed to exist — this is the *name* contract
-    shared by :func:`load_trace` (which writes it) and the batch
-    executor (which decodes it columnar-ly, skipping record objects).
+    shared by :func:`load_trace` (which writes it) and
+    :func:`load_trace_columns` (which decodes it columnar-ly, skipping
+    record objects).
 
     Imported traces (:class:`~repro.workloads.public.ImportedTraceSpec`)
     are their own cache: the store file is the whole trace, so it is
@@ -237,6 +230,33 @@ def load_trace(spec: WorkloadSpec, n_branches: int) -> list[BranchRecord]:
     return records
 
 
+def load_trace_columns(spec: WorkloadSpec, n_branches: int) -> Any:
+    """The trace for ``spec`` as a :class:`~repro.trace.columns.ColumnarTrace`.
+
+    The batch kernel's loader; typed ``Any`` because the columns module,
+    and NumPy with it, is imported only here.  Decodes the trace-cache
+    file with the memoized columnar loader (no record objects), else
+    converts :func:`load_trace`'s records.  A corrupt cache file of a
+    synthetic workload is a miss here too: it is dropped, and
+    ``load_trace`` regenerates the trace and rewrites the file.  An
+    imported trace's store file is the source of truth, so its errors
+    propagate.
+    """
+    from repro.trace.columns import ColumnarTrace, load_columnar
+
+    path = trace_cache_path(spec, n_branches)
+    if path is not None and path.exists():
+        try:
+            return load_columnar(path)
+        except TraceError:
+            if isinstance(spec, ImportedTraceSpec):
+                raise
+            # Unlink first: on a memo hit load_trace rewrites the cache
+            # file only when it is missing.
+            path.unlink(missing_ok=True)
+    return ColumnarTrace.from_records(load_trace(spec, n_branches))
+
+
 def build_model(
     system: SystemConfig, pipeline: PipelineConfig | None = None
 ) -> PipelineModel:
@@ -328,33 +348,6 @@ def _simulate_job(job: SimJob) -> RunResult:
     return job.attach_declined(result)
 
 
-def _seed_memo_from_shm(
-    spec: WorkloadSpec, n_branches: int, ref: tuple[str, int]
-) -> None:
-    """Materialise a worker's trace from the parent's shared segment.
-
-    Attaches at most once per (workload, length) per process — the
-    worker-local memo serves every later system of the same workload —
-    and never touches the trace file or generator, so workers do zero
-    trace decodes (counted by the ``trace.decodes`` /
-    ``trace.shm_attaches`` telemetry counters).
-    """
-    from repro.trace.columns import SharedTrace
-
-    key = (spec.name, spec.seed, n_branches)
-    if key in _TRACE_MEMO:
-        _TRACE_MEMO.move_to_end(key)
-        return
-    name, count = ref
-    shared = SharedTrace.attach(name, count)
-    try:
-        records = shared.to_records()
-    finally:
-        shared.close()
-    TELEMETRY.registry.counter("trace.shm_attaches").inc()
-    _memo_put(key, records)
-
-
 def _worker_count(n_jobs: int, override: int | None = None) -> int:
     """Worker processes to use: explicit arg > REPRO_WORKERS env > CPUs."""
     if override is not None:
@@ -431,13 +424,6 @@ def run_matrix(
     ``use_result_cache`` is the tri-state persistent-cache override.
     ``shard=(k, n)`` runs only the k-th of n contiguous balanced
     partitions of the job list (see :func:`shard_bounds`).
-
-    Parallel sweeps ship each workload's trace to the workers through
-    one shared-memory segment (columnar layout, see
-    :mod:`repro.trace.columns`) instead of having every worker re-read
-    and decode the trace file; set ``REPRO_TRACE_SHM=off`` to fall back
-    to per-worker decoding.  Segments are unlinked on the way out even
-    when a worker dies mid-sweep.
 
     ``sampling`` and ``batch`` request engines; each job's engine is
     chosen by

@@ -1,10 +1,10 @@
 """Sweep scheduling: one planning/dispatch path for CLI and service.
 
-Historically :func:`repro.harness.runner.run_matrix` mixed four
+Historically :func:`repro.harness.runner.run_matrix` mixed three
 concerns — enumerating the (workload x system) job list, consulting the
-persistent result cache, pre-generating traces into shared memory, and
-driving a process pool.  The simulation service needs the same
-behaviour behind a concurrent API, so those concerns now live here:
+persistent result cache, and driving a process pool.  The simulation
+service needs the same behaviour behind a concurrent API, so those
+concerns now live here:
 
 * :class:`Engine` and :func:`select_engine` — the engine a job runs
   on, chosen in exactly one place from the user's request (``batch``,
@@ -15,9 +15,13 @@ behaviour behind a concurrent API, so those concerns now live here:
   the service's dedup key);
 * :class:`Scheduler` — plans job lists (including ``--shard K/N``
   slicing), splits off jobs answerable from the persistent result
-  cache, prepares shared-memory traces for pool executors, and
-  dispatches the rest to a pluggable
+  cache, and dispatches the rest to a pluggable
   :class:`~repro.harness.executors.Executor`.
+
+Every job gets its trace from :func:`~repro.harness.runner.load_trace`
+in whichever process runs it (a batch group decodes the trace-cache
+file with :func:`~repro.trace.columns.load_columnar`); nothing is
+prepared ahead of the executor.
 
 ``run_matrix`` is a thin wrapper over this module; the service submits
 the same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
@@ -25,8 +29,7 @@ the same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ConfigError
@@ -45,7 +48,6 @@ from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.runner import RunResult
-    from repro.trace.columns import SharedTrace
 
 __all__ = [
     "Engine",
@@ -56,6 +58,7 @@ __all__ = [
     "Scheduler",
     "execute_job",
     "default_executor",
+    "pool_executor",
 ]
 
 _ENGINE_KINDS = ("exact", "batch", "sampled")
@@ -148,9 +151,7 @@ class SimJob:
     :func:`select_engine`, so the manifest a job is planned with (its
     cache and dedup key) is the manifest its run carries.  ``env`` is
     the ``REPRO_*`` environment :meth:`Scheduler.plan` captured (None:
-    capture it when the manifest is built).  ``shm_ref`` is ``(segment
-    name, record count)`` when the scheduler published the workload's
-    trace to shared memory, else None.
+    capture it when the manifest is built).
     """
 
     spec: WorkloadSpec
@@ -162,7 +163,6 @@ class SimJob:
     #: ``select_engine``'s declined requests for this job.
     declined: Declined = ()
     env: EnvPairs | None = None
-    shm_ref: tuple[str, int] | None = None
 
     def manifest(self) -> dict[str, Any]:
         """The provenance manifest this job's run would carry."""
@@ -194,17 +194,14 @@ def execute_job(job: SimJob) -> Any:
     Module-level (not a method) so :class:`ProcessPoolExecutorBackend`
     can pickle it to workers.  Dispatches on ``job.engine``: a batch job
     runs through the kernel as a one-config group, every other engine
-    through the runner's scalar path, after seeding the worker-local
-    trace memo from the job's shared-memory ref.
+    through the runner's scalar path, which loads the trace itself.
     """
     if job.engine.kind == "batch":
         from repro.harness.batch import BatchExecutor
 
         return BatchExecutor().execute([job])[0]
-    from repro.harness.runner import _seed_memo_from_shm, _simulate_job
+    from repro.harness.runner import _simulate_job
 
-    if job.shm_ref is not None:
-        _seed_memo_from_shm(job.spec, job.n_branches, job.shm_ref)
     return _simulate_job(job)
 
 
@@ -228,12 +225,21 @@ def default_executor(
         parallel = n_jobs >= 8
     if not parallel or n_jobs <= 1:
         return InlineExecutor()
-    n_workers = _worker_count(n_jobs, override=workers)
-    # Chunk so one worker handles all systems of a workload in
-    # sequence: its worker-local trace memo then materialises each
-    # trace exactly once.
-    chunksize = max(1, min(n_systems, -(-n_jobs // n_workers)))
-    return ProcessPoolExecutorBackend(workers=n_workers, chunksize=chunksize)
+    return pool_executor(n_jobs, n_systems, _worker_count(n_jobs, override=workers))
+
+
+def pool_executor(
+    n_jobs: int, n_systems: int, workers: int
+) -> ProcessPoolExecutorBackend:
+    """A ``workers``-process pool whose chunks follow the workload-major order.
+
+    A chunk holds at most one workload's ``n_systems`` jobs, so with at
+    least as many workloads as workers one worker runs all systems of a
+    workload in sequence: its worker-local trace memo then loads (or
+    generates) each trace exactly once.
+    """
+    chunksize = max(1, min(n_systems, -(-n_jobs // workers)))
+    return ProcessPoolExecutorBackend(workers=workers, chunksize=chunksize)
 
 
 class Scheduler:
@@ -327,70 +333,12 @@ class Scheduler:
     # ------------------------------------------------------------- #
     # dispatch
 
+    # simbench's traced run wraps this method by name (the ``harness``
+    # span); it goes when the next benchmark change drops that entry.
     def run(
-        self,
-        jobs: Sequence[SimJob],
-        executor: Executor | None = None,
-        shm: bool = True,
+        self, jobs: Sequence[SimJob], executor: Executor | None = None
     ) -> list[Any]:
-        """Execute ``jobs`` on ``executor`` (default inline), in order.
-
-        For executors that want shared traces (the local process pool),
-        each workload's trace is generated once in this process and
-        published to a shared-memory segment that workers attach
-        instead of decoding; workloads whose every job will be answered
-        by the persistent result cache skip generation entirely.
-        Segments are unlinked on the way out even when a worker dies.
-        """
+        """Execute ``jobs`` on ``executor`` (default inline), in order."""
         if executor is None:
             executor = InlineExecutor()
-        if not jobs:
-            return []
-        if not (shm and executor.wants_shared_traces):
-            return executor.execute(list(jobs))
-        prepared, segments = self._prepare_shared_traces(jobs)
-        try:
-            return executor.execute(prepared)
-        finally:
-            for shared in segments:
-                shared.unlink()
-
-    def _prepare_shared_traces(
-        self, jobs: Sequence[SimJob]
-    ) -> tuple[list[SimJob], list[SharedTrace]]:
-        """Pre-generate traces serially and publish them to shm.
-
-        Serial generation means workers never race on producing the
-        same trace (they would all write identical files, but the work
-        would be duplicated).  Returns the jobs with ``shm_ref`` filled
-        in plus the live segments the caller must unlink.
-        """
-        from repro.harness.runner import _shm_enabled, load_trace
-        from repro.trace.columns import ColumnarTrace
-
-        cache = self.cache()
-        by_spec: OrderedDict[str, tuple[WorkloadSpec, list[SimJob]]] = OrderedDict()
-        for job in jobs:
-            by_spec.setdefault(job.spec.name, (job.spec, []))[1].append(job)
-        shm_refs: dict[str, tuple[str, int]] = {}
-        segments: list[SharedTrace] = []
-        use_shm = _shm_enabled()
-        try:
-            for spec, spec_jobs in by_spec.values():
-                if cache is not None and all(
-                    cache.has(job.manifest()) for job in spec_jobs
-                ):
-                    continue
-                records = load_trace(spec, spec_jobs[0].n_branches)
-                if use_shm:
-                    shared = ColumnarTrace.from_records(records).publish()
-                    segments.append(shared)
-                    shm_refs[spec.name] = (shared.name, len(records))
-        except BaseException:
-            for shared in segments:
-                shared.unlink()
-            raise
-        prepared = [
-            replace(job, shm_ref=shm_refs.get(job.spec.name)) for job in jobs
-        ]
-        return prepared, segments
+        return executor.execute(list(jobs))

@@ -43,15 +43,11 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty, Queue
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.errors import ReproError, ServiceError
-from repro.harness.executors import (
-    Executor,
-    InlineExecutor,
-    ProcessPoolExecutorBackend,
-)
-from repro.harness.scheduler import Scheduler
+from repro.harness.executors import Executor, InlineExecutor
+from repro.harness.scheduler import Scheduler, SimJob, pool_executor
 from repro.service.api import parse_request
 from repro.service.jobs import JobState, JobStore, ServiceJob
 from repro.service.limits import QueueGovernor, RateLimiter
@@ -307,10 +303,11 @@ class ReproService:
     # ------------------------------------------------------------- #
     # execution
 
-    def _build_executor(self) -> Executor:
+    def _build_executor(self, jobs: Sequence[SimJob]) -> Executor:
         if self.config.executor == "pool":
             workers = self.config.pool_workers or max(1, (os.cpu_count() or 2) - 1)
-            return ProcessPoolExecutorBackend(workers=workers)
+            systems = len({job.system.name for job in jobs})
+            return pool_executor(len(jobs), systems, workers)
         return InlineExecutor()
 
     def _worker_loop(self) -> None:
@@ -357,7 +354,7 @@ class ReproService:
         self.registry.counter("service.cache_hits").inc(len(hits))
         by_index: "dict[int, RunResult]" = dict(hits)
         miss_indices = [i for i in range(len(sim_jobs)) if i not in hits]
-        executor = self._build_executor()
+        executor = self._build_executor(misses)
         if misses and isinstance(executor, InlineExecutor):
             # Per-job dispatch so a cancel lands between simulations.
             for index, sim_job in zip(miss_indices, misses):

@@ -3,9 +3,9 @@
 An adapter turns one external branch-trace format into the repository's
 native RPTR record layout (:class:`~repro.trace.records.BranchRecord`).
 Everything downstream of the normalisation — the binary cache, the
-columnar store and its shared-memory fan-out, sampling plans, the batch
-sweep kernel, and the persistent result cache — consumes RPTR and never
-sees the source format again.
+columnar store, sampling plans, the batch sweep kernel, and the
+persistent result cache — consumes RPTR and never sees the source
+format again.
 
 Adapters are *pure*: bytes in, records out, no environment reads and no
 network.  Fetching, caching, and the imported-trace store live in

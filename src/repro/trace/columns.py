@@ -1,32 +1,23 @@
-"""Columnar (structure-of-arrays) trace storage and zero-copy sharing.
+"""Columnar (structure-of-arrays) trace storage.
 
-:mod:`repro.trace.io` decodes a trace by iterating ``struct`` records —
-fine for one process reading one file, but a sweep fans a trace out to
-many worker processes, and re-decoding ~28 bytes/record Python-side in
-every worker dominates small-sweep wall time.  This module keeps the
-trace as a single NumPy structured array over the *exact* RPTR record
-layout, which buys three things:
+:mod:`repro.trace.io` decodes a trace by iterating ``struct`` records,
+building one :class:`~repro.trace.records.BranchRecord` per branch.
+The batch kernel (:mod:`repro.pipeline.batch`) needs columns, not
+records.  This module keeps the trace as a single NumPy structured
+array over the *exact* RPTR record layout, which buys two things:
 
 * **vectorised decode** — ``ColumnarTrace.decode`` maps the packed
   record body straight into a structured array (one ``frombuffer``, no
   per-record Python), and validation of the format invariants runs as
   whole-column predicates;
-* **zero-copy fan-out** — the array's bytes live in a
-  :class:`multiprocessing.shared_memory.SharedMemory` segment published
-  once by the parent; workers attach by name and view the same pages
-  rather than regenerating or re-reading the trace;
 * **columnar analysis** — the ``pc``/``taken``/... column views feed
-  NumPy consumers (interval vectors, proxy models) without building
-  record objects at all.
+  the batch kernel without building record objects at all.
 
-The pipeline itself still consumes :class:`~repro.trace.records.
-BranchRecord` objects; :meth:`ColumnarTrace.to_records` materialises
-them once per attached process via the same fast path the binary reader
-uses.
+:meth:`ColumnarTrace.to_records` converts back to record objects
+through the same fast path the binary reader uses.
 
-Nothing here reads the environment — policy (whether a sweep uses
-shared memory at all) belongs to the harness, see
-:mod:`repro.harness.runner`.
+Nothing here reads the environment; where the trace cache lives
+belongs to the harness, see :mod:`repro.harness.runner`.
 """
 
 from __future__ import annotations
@@ -35,7 +26,6 @@ import os
 import struct
 from collections import OrderedDict
 from collections.abc import Sequence
-from multiprocessing import shared_memory
 from pathlib import Path
 from typing import Any
 
@@ -47,7 +37,7 @@ from repro.trace.adapters.base import ADAPTER_VERSION
 from repro.trace.io import dumps_trace
 from repro.trace.records import BranchKind, BranchRecord
 
-__all__ = ["TRACE_DTYPE", "ColumnarTrace", "SharedTrace", "load_columnar"]
+__all__ = ["TRACE_DTYPE", "ColumnarTrace", "load_columnar"]
 
 _HEADER = struct.Struct("<4sHQ")
 _MAGIC = b"RPTR"
@@ -75,11 +65,9 @@ _KIND_BY_VALUE = {int(kind): kind for kind in BranchKind}
 class ColumnarTrace:
     """A branch trace as one structured NumPy array.
 
-    Construct via :meth:`from_records`, :meth:`decode` (RPTR bytes), or
-    :meth:`from_buffer` (a bare record-body buffer, e.g. a shared-memory
-    view).  The backing array may be a view into memory owned by someone
-    else — callers that need the trace to outlive the owner must
-    ``copy()`` it.
+    Construct via :meth:`from_records` or :meth:`decode` (RPTR bytes).
+    A decoded trace views the bytes it was decoded from; callers
+    treat it as immutable.
     """
 
     __slots__ = ("array",)
@@ -127,24 +115,11 @@ class ColumnarTrace:
         trace.validate()
         return trace
 
-    @classmethod
-    def from_buffer(
-        cls, buffer: Any, count: int, offset: int = 0
-    ) -> "ColumnarTrace":
-        """View ``count`` packed records inside a raw buffer (no copy)."""
-        array = np.frombuffer(buffer, dtype=TRACE_DTYPE, count=count, offset=offset)
-        return cls(array)
-
     # ------------------------------------------------------------- #
     # columns
 
     def __len__(self) -> int:
         return int(self.array.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the packed record body in bytes."""
-        return int(self.array.nbytes)
 
     @property
     def pc(self) -> "np.ndarray[Any, Any]":
@@ -214,7 +189,7 @@ class ColumnarTrace:
             )
 
     def to_records(self) -> list[BranchRecord]:
-        """Materialise :class:`BranchRecord` objects for the pipeline.
+        """Materialise one :class:`BranchRecord` per row, losing no field.
 
         One pass over ``tolist()`` rows through the same ``__new__``
         fast path the binary reader uses; :meth:`validate` is assumed
@@ -236,22 +211,6 @@ class ColumnarTrace:
             set_field(record, "depends_on_load", bool(flags & 2))
             append(record)
         return records
-
-    # ------------------------------------------------------------- #
-    # shared memory
-
-    def publish(self) -> "SharedTrace":
-        """Copy the packed records into a new shared-memory segment.
-
-        The caller owns the returned handle and must ``unlink()`` it
-        exactly once (typically in a ``finally``); every attached
-        process must ``close()`` its own handle.
-        """
-        shm = shared_memory.SharedMemory(create=True, size=max(self.nbytes, 1))
-        view = np.frombuffer(shm.buf, dtype=TRACE_DTYPE, count=len(self))
-        view[:] = self.array
-        del view  # views into shm.buf must die before shm can close
-        return SharedTrace(shm=shm, count=len(self), owner=True)
 
 
 #: Per-process memo of decoded trace files, keyed by (path, mtime,
@@ -292,87 +251,3 @@ def load_columnar(path: str | Path) -> ColumnarTrace:
     if len(_COLUMN_CACHE) > _COLUMN_CACHE_MAX:
         _COLUMN_CACHE.popitem(last=False)
     return trace
-
-
-def _tracker_register(name: str) -> None:
-    """Re-register ``name`` with this process's resource tracker.
-
-    Registration is a set-add, so this is idempotent; it rebalances the
-    tracker before an owner unlink when attached processes sharing the
-    same tracker (fork start method) have already unregistered the
-    name, which would otherwise leave the tracker's final unregister
-    unmatched.
-    """
-    try:  # pragma: no cover - tracker internals vary by platform
-        from multiprocessing import resource_tracker
-
-        resource_tracker.register(name, "shared_memory")
-    except (ImportError, AttributeError, ValueError):
-        pass
-
-
-class SharedTrace:
-    """A columnar trace living in a named shared-memory segment."""
-
-    __slots__ = ("shm", "count", "owner", "_closed", "_unlinked")
-
-    def __init__(
-        self, shm: shared_memory.SharedMemory, count: int, owner: bool
-    ) -> None:
-        self.shm = shm
-        self.count = count
-        self.owner = owner
-        self._closed = False
-        self._unlinked = False
-
-    @property
-    def name(self) -> str:
-        """Segment name another process passes to :meth:`attach`."""
-        return str(self.shm.name)
-
-    @classmethod
-    def attach(cls, name: str, count: int) -> "SharedTrace":
-        """Open an existing segment published by another process.
-
-        The attaching process does not own the segment: its
-        ``resource_tracker`` registration is dropped so that this
-        process exiting (cleanly or not) never unlinks pages the
-        publisher is still handing to other workers.
-        """
-        shm = shared_memory.SharedMemory(name=name)
-        try:  # pragma: no cover - tracker internals vary by platform
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except (ImportError, AttributeError, KeyError, ValueError):
-            pass
-        return cls(shm=shm, count=count, owner=False)
-
-    def trace(self) -> ColumnarTrace:
-        """Zero-copy columnar view of the shared records."""
-        return ColumnarTrace.from_buffer(self.shm.buf, self.count)
-
-    def to_records(self) -> list[BranchRecord]:
-        """Materialise records without holding views into the segment."""
-        trace = self.trace()
-        try:
-            return trace.to_records()
-        finally:
-            del trace
-
-    def close(self) -> None:
-        """Detach this process's mapping (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self.shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only, once; implies :meth:`close`)."""
-        self.close()
-        if self.owner and not self._unlinked:
-            self._unlinked = True
-            _tracker_register(self.shm._name)  # type: ignore[attr-defined]
-            try:
-                self.shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass

@@ -52,17 +52,6 @@ class TestPerfCommand:
         assert payload["warm_sweep"]["speedup"] > 1.0
         assert payload["env"]["code_fingerprint"]
 
-    def test_perf_profile_flag(self, capsys, tmp_path):
-        code = main(
-            ["perf", "--branches", "600", "--repeats", "1",
-             "--systems", "baseline-tage", "--no-sampling",
-             "--out", str(tmp_path / "b.json"), "--profile", "5"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "cProfile: baseline-tage" in out
-        assert "tottime" in out
-
     def test_run_no_result_cache_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_RESULT_CACHE", str(tmp_path / "results"))
         code = main(

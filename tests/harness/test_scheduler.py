@@ -149,6 +149,7 @@ class TestDefaultExecutor:
         executor = default_executor(16, 4, workers=2)
         assert isinstance(executor, ProcessPoolExecutorBackend)
         assert executor.workers == 2
+        assert executor.chunksize == 4  # one workload's systems
 
     def test_explicit_parallel_false(self):
         assert isinstance(

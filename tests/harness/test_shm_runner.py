@@ -1,27 +1,26 @@
-"""Unit tests for sweep sharding, stale-tmp sweeping, and the
-shared-memory trace transport."""
+"""Unit tests for sweep sharding, stale-tmp sweeping, pool-sweep trace
+loading, and corrupt trace-cache repair."""
 
 from __future__ import annotations
 
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.harness import runner
 from repro.harness.runner import (
-    _seed_memo_from_shm,
     _sweep_stale_tmp,
     load_trace,
     run_matrix,
     shard_bounds,
 )
 from repro.harness.scale import Scale
-from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
-from repro.telemetry import TELEMETRY
-from repro.trace.columns import ColumnarTrace, SharedTrace
+from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig, resolve_system
 
 _BY_NAME = {cfg.name: cfg for cfg in TABLE3_SYSTEMS}
 
@@ -113,34 +112,7 @@ class TestStaleTmpSweep:
         assert (tmp_path / f"{tiny_spec.name}-{tiny_spec.seed}-500.trace").exists()
 
 
-class TestShmTransport:
-    def test_worker_path_does_zero_decodes(self, tiny_spec):
-        """A shm-seeded worker never decodes or generates a trace.
-
-        Runs the worker-side path in this process so the telemetry
-        counters are observable: after seeding the memo from the
-        shared segment, ``load_trace`` must be served entirely from
-        the memo (``trace.decodes`` stays 0) off a single attach.
-        """
-        n = 800
-        records = load_trace(tiny_spec, n)  # parent-side decode
-        shared = ColumnarTrace.from_records(records).publish()
-        try:
-            runner._TRACE_MEMO.clear()  # become a "fresh worker"
-            TELEMETRY.enable()
-            try:
-                registry = TELEMETRY.registry
-                ref = (shared.name, len(records))
-                _seed_memo_from_shm(tiny_spec, n, ref)
-                assert load_trace(tiny_spec, n) == records
-                _seed_memo_from_shm(tiny_spec, n, ref)  # memo hit, no re-attach
-                assert registry.counter("trace.decodes").value == 0
-                assert registry.counter("trace.shm_attaches").value == 1
-            finally:
-                TELEMETRY.disable()
-        finally:
-            shared.unlink()
-
+class TestPoolTraces:
     def test_parallel_matches_serial(self, tiny_spec):
         scale = Scale(name="t", branches_per_workload=1200, workloads_per_category=1)
         systems = [_BY_NAME["baseline-tage"], _BY_NAME["no-repair"]]
@@ -148,49 +120,64 @@ class TestShmTransport:
         parallel = run_matrix([tiny_spec], systems, scale, workers=2, parallel=True)
         assert parallel == serial
 
-    def test_segments_cleaned_up_on_worker_failure(self, tiny_spec, monkeypatch):
-        """The finally-unlink must run even when a worker job raises."""
-        published: list[SharedTrace] = []
-        original = ColumnarTrace.publish
+    def test_cold_cache_pool_sweep_writes_one_trace(
+        self, tiny_spec, tmp_path, monkeypatch
+    ):
+        """Workers sharing a workload may generate its trace concurrently.
 
-        def tracking_publish(self: ColumnarTrace) -> SharedTrace:
-            shared = original(self)
-            published.append(shared)
-            return shared
+        Three jobs on two workers chunk as 2 + 1, so both workers can
+        load the one trace from an empty cache at once; the PID-unique
+        tmp file and atomic rename leave one intact file behind.
+        """
+        cache = tmp_path / "traces"
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(cache))
+        scale = Scale(name="t", branches_per_workload=900, workloads_per_category=1)
+        systems = [_BY_NAME["baseline-tage"], _BY_NAME["no-repair"],
+                   _BY_NAME["forward-walk-coalesce"]]
+        parallel = run_matrix([tiny_spec], systems, scale, workers=2,
+                              parallel=True, use_result_cache=False)
+        assert [path.name for path in cache.iterdir()] == [
+            f"{tiny_spec.name}-{tiny_spec.seed}-900.trace"
+        ]
+        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+        serial = run_matrix([tiny_spec], systems, scale, workers=1,
+                            use_result_cache=False)
+        assert parallel == serial
 
-        monkeypatch.setattr(ColumnarTrace, "publish", tracking_publish)
+    def test_no_tmp_left_on_worker_failure(self, tiny_spec, tmp_path, monkeypatch):
+        """A job that raises in a worker waits out the sweep's trace writes.
+
+        Both jobs fail at model construction, after their trace is
+        loaded.  The second workload's write is slowed, so the first
+        job's ConfigError reaches the caller while that write is still
+        going (or not yet started): the sweep must not return before
+        the tmp file is renamed into place.  Forked workers inherit the
+        slowed writer.
+        """
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        slow = replace(tiny_spec, name=f"{tiny_spec.name}-slow")
+        write = runner.write_trace
+
+        def slow_write(path, records):
+            if path.name.startswith(slow.name):
+                path.write_bytes(b"partial")
+                time.sleep(1.0)
+            write(path, records)
+
+        monkeypatch.setattr(runner, "write_trace", slow_write)
         scale = Scale(name="t", branches_per_workload=600, workloads_per_category=1)
         bad = SystemConfig(name="doomed", tage="no-such-preset")
         with pytest.raises(ConfigError):
             run_matrix(
-                [tiny_spec],
-                [_BY_NAME["baseline-tage"], bad],
+                [tiny_spec, slow],
+                [bad],
                 scale,
                 workers=2,
                 parallel=True,
+                use_result_cache=False,
             )
-        assert published, "parallel sweep should have published a segment"
-        for shared in published:
-            with pytest.raises(FileNotFoundError):
-                SharedTrace.attach(shared.name, 1)
-
-    def test_shm_disabled_by_env(self, tiny_spec, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE_SHM", "off")
-        published: list[SharedTrace] = []
-        original = ColumnarTrace.publish
-
-        def tracking_publish(self: ColumnarTrace) -> SharedTrace:
-            shared = original(self)
-            published.append(shared)
-            return shared
-
-        monkeypatch.setattr(ColumnarTrace, "publish", tracking_publish)
-        scale = Scale(name="t", branches_per_workload=600, workloads_per_category=1)
-        systems = [_BY_NAME["baseline-tage"], _BY_NAME["no-repair"]]
-        serial = run_matrix([tiny_spec], systems, scale, workers=1)
-        parallel = run_matrix([tiny_spec], systems, scale, workers=2, parallel=True)
-        assert parallel == serial
-        assert not published
+        assert (tmp_path / f"{slow.name}-{slow.seed}-600.trace").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestCorruptTraceCache:
@@ -204,3 +191,24 @@ class TestCorruptTraceCache:
         again = load_trace(tiny_spec, 500)
         assert again == fresh
         assert path.exists()  # rewritten intact
+
+    @pytest.mark.parametrize("memo_hit", [False, True])
+    def test_corrupt_cached_file_regenerated_by_batch(
+        self, tiny_spec, tmp_path, monkeypatch, memo_hit
+    ):
+        """The batch path repairs a corrupt cache file as the exact path does."""
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        scale = Scale(name="t", branches_per_workload=500, workloads_per_category=1)
+        systems = [resolve_system("gshare:12:10")]
+        fresh = run_matrix([tiny_spec], systems, scale, batch=True,
+                           use_result_cache=False)
+        path = tmp_path / f"{tiny_spec.name}-{tiny_spec.seed}-500.trace"
+        intact = path.read_bytes()
+        path.write_bytes(intact[:-7])  # truncate the cached file
+        if not memo_hit:
+            runner._TRACE_MEMO.clear()
+        again = run_matrix([tiny_spec], systems, scale, batch=True,
+                           use_result_cache=False)
+        assert again == fresh
+        assert again[0].manifest["engine"] == "batch"
+        assert path.read_bytes() == intact  # rewritten intact

@@ -177,7 +177,7 @@ class TestRunning:
         cached = run_single(spec_b, _SYSTEM, 1200)
         assert cached.ipc == 123.456
 
-    def test_parallel_shm_matrix_matches_serial(self):
+    def test_parallel_matrix_matches_serial(self):
         spec = _import_fixture()
         scale = Scale(name="t", branches_per_workload=1500,
                       workloads_per_category=1)
@@ -193,6 +193,18 @@ class TestRunning:
         assert [(r.system, r.ipc, r.mpki) for r in serial] == [
             (r.system, r.ipc, r.mpki) for r in parallel
         ]
+
+    def test_batch_sweep_corrupt_store_raises(self):
+        """An imported store file is the source of truth: never repaired."""
+        spec = _import_fixture()
+        path = Path(spec.path)
+        path.write_bytes(path.read_bytes()[:-7])
+        scale = Scale(name="t", branches_per_workload=spec.trace_records,
+                      workloads_per_category=1)
+        with pytest.raises(TraceError, match="truncated"):
+            run_matrix([spec], [resolve_system("gshare:12:8")], scale,
+                       parallel=False, use_result_cache=False, batch=True)
+        assert path.exists()
 
     def test_batch_sweep_on_imported_trace(self):
         spec = _import_fixture()

@@ -19,6 +19,8 @@ import urllib.request
 import pytest
 
 from repro.errors import ServiceError
+from repro.harness.executors import ProcessPoolExecutorBackend
+from repro.service.api import parse_request
 from repro.service.jobs import JobState
 from repro.service.server import ReproService, ServiceConfig
 
@@ -245,6 +247,52 @@ class TestDedup:
         _, body, _ = _post(base, _RUN)
         job = _wait_state(base, body["job"]["id"], "done")
         assert job["cache_hits"] == 1 and job["sim_runs"] == 0
+
+
+_SWEEP = {
+    "kind": "sweep",
+    "branches": 500,
+    "per_category": 1,
+    "systems": ["baseline-tage", "no-repair"],
+}
+
+
+class TestPoolExecutor:
+    def test_chunks_hold_one_workloads_systems(self):
+        """A pool worker runs all systems of a workload: one trace load each."""
+        service = ReproService(
+            ServiceConfig(executor="pool", pool_workers=2, state_dir=None)
+        )
+        jobs = parse_request(_SWEEP).jobs
+        executor = service._build_executor(jobs)
+        assert isinstance(executor, ProcessPoolExecutorBackend)
+        assert (executor.workers, executor.chunksize) == (2, 2)
+
+    def test_pool_sweep_matches_inline(self):
+        rows = {}
+        for executor in ("inline", "pool"):
+            service = ReproService(
+                ServiceConfig(
+                    port=0,
+                    executor=executor,
+                    pool_workers=2,
+                    use_result_cache=False,
+                    state_dir=None,
+                )
+            )
+            service.start()
+            try:
+                host, port = service.address
+                base = f"http://{host}:{port}"
+                _, body, _ = _post(base, _SWEEP)
+                job_id = body["job"]["id"]
+                _wait_state(base, job_id, "done", timeout=120.0)
+                _, body = _get(base, f"/v1/jobs/{job_id}/result")
+                rows[executor] = body["job"]["results"]
+            finally:
+                service.stop(drain=False, timeout=0.0)
+        assert len(rows["pool"]) == 14
+        assert rows["pool"] == rows["inline"]
 
 
 class TestAdmission:

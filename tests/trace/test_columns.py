@@ -1,4 +1,4 @@
-"""Unit tests for the columnar trace store and shared-memory transport."""
+"""Unit tests for the columnar trace store."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
-from repro.trace.columns import TRACE_DTYPE, ColumnarTrace, SharedTrace
+from repro.trace.columns import TRACE_DTYPE, ColumnarTrace
 from repro.trace.io import _HEADER, _RECORD, dumps_trace
 from repro.trace.records import BranchKind
 from tests.conftest import make_branch
@@ -105,54 +105,3 @@ class TestDecodeValidation:
         data[_HEADER.size + 16] &= ~0x01  # clear taken on a CALL
         with pytest.raises(TraceError, match="always taken"):
             ColumnarTrace.decode(bytes(data))
-
-
-class TestSharedTrace:
-    def test_publish_attach_round_trip(self):
-        records = sample_records()
-        shared = ColumnarTrace.from_records(records).publish()
-        try:
-            assert shared.owner
-            attached = SharedTrace.attach(shared.name, len(records))
-            assert not attached.owner
-            assert attached.to_records() == records
-            # Attached view shares the publisher's pages, not a copy.
-            assert attached.trace().pc.tolist() == [r.pc for r in records]
-            attached.close()
-        finally:
-            shared.unlink()
-
-    def test_attach_unknown_name(self):
-        with pytest.raises(FileNotFoundError):
-            SharedTrace.attach("repro-no-such-segment", 1)
-
-    def test_unlink_destroys_segment(self):
-        shared = ColumnarTrace.from_records(sample_records()).publish()
-        name = shared.name
-        shared.unlink()
-        with pytest.raises(FileNotFoundError):
-            SharedTrace.attach(name, 1)
-        shared.unlink()  # idempotent: already-gone is swallowed
-
-    def test_non_owner_close_keeps_segment(self):
-        records = sample_records()
-        shared = ColumnarTrace.from_records(records).publish()
-        try:
-            attached = SharedTrace.attach(shared.name, len(records))
-            attached.close()
-            attached.close()  # idempotent
-            attached.unlink()  # non-owner: must NOT destroy the segment
-            again = SharedTrace.attach(shared.name, len(records))
-            assert again.to_records() == records
-            again.close()
-        finally:
-            shared.unlink()
-
-    def test_empty_trace_publishable(self):
-        shared = ColumnarTrace.from_records([]).publish()
-        try:
-            attached = SharedTrace.attach(shared.name, 0)
-            assert attached.to_records() == []
-            attached.close()
-        finally:
-            shared.unlink()

@@ -11,73 +11,38 @@ def records(n):
     return [make_branch(pc=0x1000 + 16 * i) for i in range(n)]
 
 
+def committed(recs, window=64):
+    """A stream whose window holds every record, as the engine fills it."""
+    stream = TraceStream(recs, window=window)
+    for record in stream.records:
+        stream.window.append(record)
+    return stream
+
+
 class TestTraceStream:
-    def test_sequential_delivery(self):
+    def test_records_in_program_order(self):
         recs = records(5)
-        stream = TraceStream(recs)
-        delivered = [stream.next_record() for _ in range(5)]
-        assert delivered == recs
-        assert stream.exhausted
-
-    def test_len_and_position(self):
-        stream = TraceStream(records(3))
-        assert len(stream) == 3
-        assert stream.position == 0
-        stream.next_record()
-        assert stream.position == 1
-
-    def test_peek_does_not_consume(self):
-        recs = records(2)
-        stream = TraceStream(recs)
-        assert stream.peek() == recs[0]
-        assert stream.position == 0
-        stream.next_record()
-        stream.next_record()
-        assert stream.peek() is None
-
-    def test_exhausted_raises(self):
-        stream = TraceStream(records(1))
-        stream.next_record()
-        with pytest.raises(TraceError):
-            stream.next_record()
+        assert TraceStream(recs).records == tuple(recs)
 
     def test_recent_window_bounded(self):
         recs = records(10)
-        stream = TraceStream(recs, window=4)
-        for _ in range(10):
-            stream.next_record()
+        stream = committed(recs, window=4)
         recent = stream.recent(10)
         assert recent == recs[-4:]
 
     def test_recent_order_oldest_first(self):
         recs = records(6)
-        stream = TraceStream(recs, window=8)
-        for _ in range(6):
-            stream.next_record()
+        stream = committed(recs, window=8)
         assert stream.recent(3) == recs[-3:]
 
     def test_recent_zero_and_negative(self):
-        stream = TraceStream(records(3))
-        stream.next_record()
+        stream = committed(records(3))
         assert stream.recent(0) == []
         assert stream.recent(-1) == []
 
-    def test_restart(self):
-        recs = records(4)
-        stream = TraceStream(recs)
-        stream.next_record()
-        stream.next_record()
-        stream.restart()
-        assert stream.position == 0
-        assert stream.recent(5) == []
-        assert stream.next_record() == recs[0]
+    def test_recent_empty_before_any_commit(self):
+        assert TraceStream(records(4)).recent(5) == []
 
     def test_invalid_window_rejected(self):
         with pytest.raises(TraceError):
             TraceStream(records(1), window=0)
-
-    def test_iteration_non_destructive(self):
-        recs = records(3)
-        stream = TraceStream(recs)
-        assert list(stream) == recs
-        assert stream.position == 0
