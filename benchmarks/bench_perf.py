@@ -2,16 +2,13 @@
 
 Measures cold single-run branches/sec per system and the wall-clock of
 a repeated ``run_matrix`` sweep served by the persistent result cache,
-then writes ``BENCH_perf.json`` at the repo root — the tracked perf
-trajectory CI uploads as an artifact.
-
-Run standalone (CI perf-smoke job, tiny scale)::
-
-    python benchmarks/bench_perf.py --branches 4000 --repeats 1
-
-or under pytest-benchmark with the rest of this directory::
+then writes ``BENCH_perf.json`` at the repo root.  Run it under
+pytest-benchmark with the rest of this directory::
 
     REPRO_SCALE=smoke python -m pytest benchmarks/bench_perf.py
+
+The command-line entry is ``repro perf`` (CI perf-smoke runs
+``repro perf --branches 4000 --repeats 1 --no-sampling``).
 
 The assertions only sanity-check structure (throughput positive, warm
 pass faster than cold) — absolute numbers are machine-dependent and
@@ -20,12 +17,9 @@ belong in the JSON, not in a gate.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 from pathlib import Path
 
-from repro.harness.perf import DEFAULT_SYSTEMS, SAMPLING_BRANCHES, run_perf
+from repro.harness.perf import DEFAULT_SYSTEMS, run_perf
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,8 +28,8 @@ def test_bench_perf(benchmark, scale):
     """pytest-benchmark entry: one full perf measurement at ``scale``.
 
     Skips the sampled-vs-exact section — its locked accuracy config
-    needs a 200k-branch trace, far past any pytest scale tier.  The
-    standalone ``main`` below (and ``repro perf``) measure it.
+    needs a 200k-branch trace, far past any pytest scale tier.
+    ``repro perf`` measures it.
     """
     payload = benchmark.pedantic(
         run_perf,
@@ -60,51 +54,3 @@ def test_bench_perf(benchmark, scale):
     assert warm["warm_wall_s"] < warm["cold_wall_s"]
     assert batch["mpki_identical"], "batch kernel diverged from the exact engine"
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", default="hpc-fft")
-    parser.add_argument("--branches", type=int, default=30_000)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--out", default=str(_REPO_ROOT / "BENCH_perf.json"), help="report path"
-    )
-    parser.add_argument(
-        "--sampling-branches",
-        type=int,
-        default=None,
-        help="trace length for the sampled-vs-exact section "
-        "(default: the locked benchmark length)",
-    )
-    parser.add_argument(
-        "--no-sampling",
-        action="store_true",
-        help="skip the sampled-vs-exact section (CI smoke scale)",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="skip the batch-kernel-vs-scalar section",
-    )
-    args = parser.parse_args(argv)
-    sampling_branches: int | None
-    if args.no_sampling:
-        sampling_branches = None
-    elif args.sampling_branches is not None:
-        sampling_branches = args.sampling_branches
-    else:
-        sampling_branches = SAMPLING_BRANCHES
-    payload = run_perf(
-        workload=args.workload,
-        branches=args.branches,
-        repeats=args.repeats,
-        out=args.out,
-        sampling_branches=sampling_branches,
-        batch=not args.no_batch,
-    )
-    print(json.dumps(payload, indent=1, sort_keys=True))
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

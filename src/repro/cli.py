@@ -22,9 +22,15 @@ from contextlib import contextmanager
 
 from repro.errors import ReproError
 from repro.harness.report import format_table
-from repro.harness.runner import RunResult, run_single
+from repro.harness.runner import (
+    RunResult,
+    parse_shard,
+    run_matrix,
+    run_single,
+    select_workloads,
+)
 from repro.harness.sampling import SamplingConfig
-from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig, resolve_system
+from repro.harness.systems import TABLE3_SYSTEMS, resolve_system
 from repro.harness.tracestore import resolve_workload
 from repro.workloads.categories import CATEGORIES
 from repro.workloads.spec import WorkloadSpec
@@ -57,17 +63,6 @@ def _telemetry_session(path: str | None) -> Iterator[None]:
         if sink.error is not None:
             note += f" (write error: {sink.error})"
         print(note)
-
-
-def _system_by_name(name: str) -> SystemConfig:
-    """Table 3 name or table-predictor spec string → SystemConfig.
-
-    Delegates to :func:`repro.harness.systems.resolve_system`, so every
-    system-taking command also accepts ``bimodal:12``, ``gshare:14:12``,
-    ``local2l:10:8:12`` spec strings; unknown names surface as
-    ``error: ...`` with exit code 1 via main()'s ReproError handler.
-    """
-    return resolve_system(name)
 
 
 def _cmd_list_workloads(args: argparse.Namespace) -> int:
@@ -108,6 +103,10 @@ def _cache_override(args: argparse.Namespace) -> bool | None:
     return False if getattr(args, "no_result_cache", False) else None
 
 
+#: Where the --sample-* flags take their defaults.
+_SAMPLING_DEFAULTS = SamplingConfig()
+
+
 def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     """The shared --sample* flag group (run, compare, sweep)."""
     parser.add_argument(
@@ -126,24 +125,24 @@ def _add_sampling_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sample-interval",
         type=int,
-        default=4000,
+        default=_SAMPLING_DEFAULTS.interval,
         metavar="N",
-        help="detailed-interval length in trace records (default 4000)",
+        help="detailed-interval length in trace records (default %(default)s)",
     )
     parser.add_argument(
         "--sample-coverage",
         type=float,
-        default=0.1,
+        default=_SAMPLING_DEFAULTS.coverage,
         metavar="F",
-        help="fraction of records simulated in detail (default 0.1)",
+        help="fraction of records simulated in detail (default %(default)s)",
     )
     parser.add_argument(
         "--sample-warmup",
         type=int,
-        default=6000,
+        default=_SAMPLING_DEFAULTS.warmup,
         metavar="N",
         help="full-functional warmup records before each interval "
-        "(default 6000)",
+        "(default %(default)s)",
     )
 
 
@@ -179,7 +178,7 @@ def _print_sampling_note(result: RunResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = resolve_workload(args.workload)
-    system = _system_by_name(args.system)
+    system = resolve_system(args.system)
     with _telemetry_session(args.telemetry):
         result = run_single(
             spec,
@@ -204,7 +203,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     from repro.analysis import diagnose
 
     spec = resolve_workload(args.workload)
-    system = _system_by_name(args.system)
+    system = resolve_system(args.system)
     result = run_single(spec, system, args.branches)
     print(diagnose(result).render())
     return 0
@@ -213,39 +212,24 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 def _compare_results(
     args: argparse.Namespace, spec: WorkloadSpec
 ) -> list[RunResult]:
-    """One run per Table 3 system, fanning out when --workers asks."""
-    sampling = _sampling_config(args)
-    if args.workers is not None and args.workers > 1 and not args.telemetry:
-        # Plumb the request through the runner's REPRO_WORKERS contract
-        # so nested sweeps (and worker processes) see the same setting.
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-        from repro.harness.runner import run_matrix
-        from repro.harness.scale import Scale
+    """One run per Table 3 system, fanning out when --workers asks.
 
-        scale = Scale(
-            name="cli",
-            branches_per_workload=args.branches,
-            workloads_per_category=1,
-        )
-        return run_matrix(
-            [spec],
-            TABLE3_SYSTEMS,
-            scale,
-            workers=args.workers,
-            use_result_cache=_cache_override(args),
-            sampling=sampling,
-        )
-    # Sequential: required for tracing (a sink lives in this process).
-    return [
-        run_single(
-            spec,
-            system,
-            args.branches,
-            use_result_cache=_cache_override(args),
-            sampling=sampling,
-        )
-        for system in TABLE3_SYSTEMS
-    ]
+    Sequential by default, and always under --telemetry: the trace sink
+    lives in this process.
+    """
+    from repro.harness.scale import Scale
+
+    scale = Scale(
+        name="cli", branches_per_workload=args.branches, workloads_per_category=1
+    )
+    return run_matrix(
+        [spec],
+        TABLE3_SYSTEMS,
+        scale,
+        workers=1 if args.telemetry or args.workers is None else args.workers,
+        use_result_cache=_cache_override(args),
+        sampling=_sampling_config(args),
+    )
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -268,30 +252,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    """``K/N`` → (k, n), validated before any trace work starts.
-
-    Range checking happens here (via the runner's
-    :func:`~repro.harness.runner.validate_shard`) rather than deep in
-    the sweep, so ``K > N``, ``K < 1`` and ``N < 1`` fail immediately
-    with a clear :class:`~repro.errors.ConfigError` instead of running
-    an empty or wrong partition.
-    """
-    from repro.harness.runner import validate_shard
-
-    parts = text.split("/")
-    if len(parts) == 2 and all(p.strip().lstrip("-").isdigit() for p in parts):
-        return validate_shard((int(parts[0]), int(parts[1])))
-    raise SystemExit(f"--shard must be K/N (e.g. 2/8), got {text!r}")
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.harness.runner import run_matrix, select_workloads
     from repro.harness.scale import Scale
 
     sampling = _sampling_config(args)
-    if args.workers is not None and args.workers > 1:
-        os.environ["REPRO_WORKERS"] = str(args.workers)
     scale = Scale(
         name="cli-sweep",
         branches_per_workload=args.branches,
@@ -306,11 +270,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         workloads = select_workloads(scale)
     systems = (
-        [_system_by_name(name.strip()) for name in args.systems.split(",")]
+        [resolve_system(name.strip()) for name in args.systems.split(",")]
         if args.systems
         else list(TABLE3_SYSTEMS)
     )
-    shard = _parse_shard(args.shard) if args.shard else None
+    shard = parse_shard(args.shard) if args.shard else None
     results = run_matrix(
         workloads,
         systems,
@@ -540,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process fan-out for the sweep (sets REPRO_WORKERS; "
-        "1 = sequential)",
+        help="worker processes for the sweep (default: sequential)",
     )
     p_cmp.add_argument(
         "--telemetry",
@@ -591,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="process fan-out for the sweep (sets REPRO_WORKERS; "
-        "1 = sequential)",
+        help="worker processes for the sweep (1 = sequential; default: "
+        "REPRO_WORKERS or the CPU count, from 8 jobs up)",
     )
     p_sweep.add_argument(
         "--no-result-cache",
@@ -669,6 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tfetch.add_argument("--store", default=None, metavar="DIR")
     p_tfetch.set_defaults(func=_cmd_trace)
 
+    from repro.harness.perf import SAMPLING_BRANCHES
+
     p_perf = sub.add_parser(
         "perf", help="measure simulator throughput and write BENCH_perf.json"
     )
@@ -684,10 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_perf.add_argument(
         "--sampling-branches",
         type=int,
-        default=200_000,
+        default=SAMPLING_BRANCHES,
         metavar="N",
         help="trace length for the sampled-vs-exact section "
-        "(default 200000)",
+        "(default %(default)s)",
     )
     p_perf.add_argument(
         "--no-sampling",

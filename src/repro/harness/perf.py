@@ -15,7 +15,8 @@ PR leaves a perf trajectory the next one can be compared against:
   (:mod:`repro.pipeline.batch`) vs the exact scalar engine on a
   16-config table-predictor sizing grid sharing one workload trace.
 
-Entry points: ``repro perf`` (CLI) and ``benchmarks/bench_perf.py``.
+Entry points: ``repro perf`` (CLI) and ``benchmarks/bench_perf.py``'s
+pytest entry.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from time import perf_counter
 from typing import Any, Iterator, Sequence
 
 import repro
-from repro.errors import ExperimentError
 from repro.harness.result_cache import code_fingerprint
 from repro.harness.runner import load_trace, run_matrix, run_single
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
-from repro.harness.systems import TABLE3_SYSTEMS, SystemConfig
+from repro.harness.systems import SystemConfig, resolve_system
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import get_workload
 
@@ -46,7 +46,6 @@ __all__ = [
     "BATCH_SWEEP_SPECS",
     "DEFAULT_SYSTEMS",
     "SAMPLING_BRANCHES",
-    "resolve_systems",
     "measure_throughput",
     "measure_warm_sweep",
     "measure_sampling",
@@ -74,18 +73,6 @@ class ThroughputSample:
     branches: int
     wall_s: float
     branches_per_s: float
-
-
-def resolve_systems(names: Sequence[str]) -> list[SystemConfig]:
-    """Map system names to their Table 3 configs (ExperimentError on unknown)."""
-    by_name = {cfg.name: cfg for cfg in TABLE3_SYSTEMS}
-    configs: list[SystemConfig] = []
-    for name in names:
-        if name not in by_name:
-            known = ", ".join(sorted(by_name))
-            raise ExperimentError(f"unknown system {name!r}; choose from: {known}")
-        configs.append(by_name[name])
-    return configs
 
 
 @contextmanager
@@ -274,8 +261,6 @@ def measure_batch(
     which asserts the kernel's whole point: identical MPKI and
     misprediction counts, only faster.
     """
-    from repro.harness.systems import resolve_system
-
     systems = [resolve_system(name) for name in config_specs]
     scale = Scale(
         name="perf-batch", branches_per_workload=n_branches, workloads_per_category=1
@@ -333,7 +318,7 @@ def run_perf(
     vs exact section; ``batch=False`` skips the batch-kernel section.
     """
     spec = get_workload(workload)
-    configs = resolve_systems(systems)
+    configs = [resolve_system(name) for name in systems]
     samples = measure_throughput(spec, configs, branches, repeats=repeats)
     warm = measure_warm_sweep(spec, configs, branches)
     sampling = (

@@ -16,10 +16,9 @@ from time import perf_counter
 from typing import Any, Sequence
 
 from repro.errors import ConfigError, TraceError
-from repro.harness.result_cache import active_cache
 from repro.harness.sampling import SamplingConfig, run_sampled
 from repro.harness.scale import Scale
-from repro.harness.scheduler import SimJob, select_engine
+from repro.harness.scheduler import Scheduler, SimJob, select_engine
 from repro.harness.systems import SystemConfig, build_system
 from repro.memory.hierarchy import CacheHierarchy
 from repro.metrics.aggregate import WorkloadResult
@@ -38,6 +37,7 @@ __all__ = [
     "run_single",
     "run_matrix",
     "select_workloads",
+    "parse_shard",
     "shard_bounds",
     "trace_cache_path",
     "validate_shard",
@@ -109,12 +109,12 @@ def _sweep_stale_tmp(cache: Path) -> None:
             pass
 
 
-#: Worker-local memo of decoded traces.  A sweep hands each worker all
-#: systems of one workload back to back (see the ``chunksize`` grouping
-#: in :func:`~repro.harness.scheduler.pool_executor`), so a tiny LRU
-#: means each process decodes a given trace once instead of once per
-#: system.  Entries are shared lists of frozen records — callers must
-#: treat them as immutable.
+#: Worker-local memo of decoded traces.  A pool sweep hands each worker
+#: all systems of one workload back to back (the chunk rule in
+#: :meth:`~repro.harness.scheduler.Scheduler.run`), so a tiny LRU means
+#: each process decodes a given trace once instead of once per system.
+#: Entries are shared lists of frozen records — callers must treat them
+#: as immutable.
 _TRACE_MEMO: OrderedDict[tuple[str, int, int], list[BranchRecord]] = OrderedDict()
 _TRACE_MEMO_MAX = 8
 
@@ -225,8 +225,14 @@ def load_trace(spec: WorkloadSpec, n_branches: int) -> list[BranchRecord]:
         # file; the final rename stays atomic and the contents are
         # identical either way.
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        write_trace(tmp, records)
-        tmp.replace(path)
+        try:
+            write_trace(tmp, records)
+            tmp.replace(path)
+        except BaseException:
+            # A failed write (disk full, permissions) must not leave its
+            # tmp file to this live process: the stale-tmp sweep skips it.
+            tmp.unlink(missing_ok=True)
+            raise
     return records
 
 
@@ -294,58 +300,51 @@ def run_single(
     engine, declined = select_engine(
         system, sampling=sampling, batch=False, telemetry=TELEMETRY.enabled
     )
-    return _simulate_job(
-        SimJob(
-            spec=spec,
-            system=system,
-            n_branches=n_branches,
-            pipeline=pipeline,
-            use_result_cache=use_result_cache,
-            engine=engine,
-            declined=declined,
-        )
+    job = SimJob(
+        spec=spec,
+        system=system,
+        n_branches=n_branches,
+        pipeline=pipeline,
+        engine=engine,
+        declined=declined,
     )
+    return Scheduler(use_result_cache).run([job])[0]
 
 
 def _simulate_job(job: SimJob) -> RunResult:
-    """Run one planned job on its exact or sampled engine.
+    """Simulate one planned job on its exact or sampled engine.
 
-    The job's manifest is its result-cache key; a fresh result is stored
-    under it.  Batch jobs never come here: :func:`execute_job
-    <repro.harness.scheduler.execute_job>` sends them to the kernel.
+    Only :meth:`~repro.harness.scheduler.Scheduler.run` calls this,
+    inline or in a pool worker; the scheduler checks and fills the
+    result cache and attaches the job's declined requests.  Batch jobs
+    go to the kernel instead.
     """
     spec, system, engine = job.spec, job.system, job.engine
     manifest = job.manifest()
-    result_cache = active_cache(job.use_result_cache)
-    result = result_cache.load(manifest) if result_cache is not None else None
-    if result is None:
-        records = load_trace(spec, job.n_branches)
-        model = build_model(system, job.pipeline)
-        if TELEMETRY.enabled:
-            TELEMETRY.begin_run(spec.name, system.name, job.n_branches, manifest)
-        t0 = perf_counter()
-        if engine.sampling is not None:
-            stats = run_sampled(model, records, engine.sampling)
-        else:
-            stats = model.run(records)
-        manifest["wall_s"] = perf_counter() - t0
-        if TELEMETRY.enabled:
-            TELEMETRY.end_run(stats)
-        result = RunResult(
-            workload=spec.name,
-            category=spec.category,
-            system=system.name,
-            ipc=stats.ipc,
-            mpki=stats.mpki,
-            instructions=stats.instructions,
-            cycles=stats.cycles,
-            mispredictions=stats.mispredictions,
-            extra=stats.extra,
-            manifest=manifest,
-        )
-        if result_cache is not None:
-            result_cache.store(result)
-    return job.attach_declined(result)
+    records = load_trace(spec, job.n_branches)
+    model = build_model(system, job.pipeline)
+    if TELEMETRY.enabled:
+        TELEMETRY.begin_run(spec.name, system.name, job.n_branches, manifest)
+    t0 = perf_counter()
+    if engine.sampling is not None:
+        stats = run_sampled(model, records, engine.sampling)
+    else:
+        stats = model.run(records)
+    manifest["wall_s"] = perf_counter() - t0
+    if TELEMETRY.enabled:
+        TELEMETRY.end_run(stats)
+    return RunResult(
+        workload=spec.name,
+        category=spec.category,
+        system=system.name,
+        ipc=stats.ipc,
+        mpki=stats.mpki,
+        instructions=stats.instructions,
+        cycles=stats.cycles,
+        mispredictions=stats.mispredictions,
+        extra=stats.extra,
+        manifest=manifest,
+    )
 
 
 def _worker_count(n_jobs: int, override: int | None = None) -> int:
@@ -387,6 +386,19 @@ def validate_shard(shard: tuple[int, int]) -> tuple[int, int]:
     return k, n
 
 
+def parse_shard(text: str) -> tuple[int, int]:
+    """A ``K/N`` shard string as validated ``(k, n)``.
+
+    The one parser behind ``repro sweep --shard`` and the service's
+    ``shard`` field; malformed and out-of-range strings both raise
+    :class:`ConfigError` before any trace work starts.
+    """
+    parts = text.split("/")
+    if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
+        raise ConfigError(f"shard must be K/N (e.g. 2/8), got {text!r}")
+    return validate_shard((int(parts[0]), int(parts[1])))
+
+
 def shard_bounds(count: int, shard: tuple[int, int]) -> tuple[int, int]:
     """[start, end) of 1-based shard ``(k, n)`` over ``count`` items.
 
@@ -408,7 +420,6 @@ def run_matrix(
     systems: Sequence[SystemConfig],
     scale: Scale,
     pipeline: PipelineConfig | None = None,
-    parallel: bool | None = None,
     workers: int | None = None,
     use_result_cache: bool | None = None,
     sampling: SamplingConfig | None = None,
@@ -418,26 +429,22 @@ def run_matrix(
     """Run every system against every workload.
 
     Results come back grouped by workload then system, in input order.
-    ``parallel=None`` auto-enables process fan-out for larger sweeps;
-    ``workers`` pins the process count (overriding ``REPRO_WORKERS``),
-    with ``workers=1`` forcing a sequential in-process sweep.
+    ``workers`` pins the process count (``workers=1`` runs the sweep
+    sequentially in this process); ``None`` fans out from 8 jobs up,
+    over ``REPRO_WORKERS`` or the CPU count (:func:`_worker_count`).
     ``use_result_cache`` is the tri-state persistent-cache override.
     ``shard=(k, n)`` runs only the k-th of n contiguous balanced
     partitions of the job list (see :func:`shard_bounds`).
 
     ``sampling`` and ``batch`` request engines; each job's engine is
-    chosen by
-    :func:`~repro.harness.scheduler.select_engine`.  Batch jobs
-    (table-indexed predictor configs) sharing a workload are evaluated
-    in one vectorised kernel pass (:mod:`repro.pipeline.batch`: exact
-    predictions and MPKI, no pipeline timing); the other jobs run on
-    the normal executor.
+    chosen by :func:`~repro.harness.scheduler.select_engine`.  Batch
+    jobs (table-indexed predictor configs) sharing a workload are
+    evaluated in one vectorised kernel pass (:mod:`repro.pipeline.batch`:
+    exact predictions and MPKI, no pipeline timing).
 
-    This is a thin wrapper over :class:`repro.harness.scheduler.Scheduler`
-    — the same planning/dispatch path the ``repro serve`` service uses.
+    This is :meth:`Scheduler.plan` plus :meth:`Scheduler.run`, the path
+    ``run_single`` and the ``repro serve`` service take too.
     """
-    from repro.harness.scheduler import Scheduler, default_executor
-
     scheduler = Scheduler(use_result_cache=use_result_cache)
     jobs = scheduler.plan(
         workloads,
@@ -448,14 +455,9 @@ def run_matrix(
         shard=shard,
         batch=batch,
     )
-    executor = default_executor(
-        len(jobs), len(systems), parallel=parallel, workers=workers
-    )
-    if any(job.engine.kind == "batch" for job in jobs):
-        from repro.harness.batch import BatchExecutor
-
-        executor = BatchExecutor(inner=executor)
-    return scheduler.run(jobs, executor)
+    if workers is None and len(jobs) < 8:
+        workers = 1
+    return scheduler.run(jobs, _worker_count(len(jobs), override=workers))
 
 
 def pair_results(

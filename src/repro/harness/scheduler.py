@@ -1,10 +1,8 @@
-"""Sweep scheduling: one planning/dispatch path for CLI and service.
+"""Sweep scheduling: the one path that answers a simulation job.
 
-Historically :func:`repro.harness.runner.run_matrix` mixed three
-concerns — enumerating the (workload x system) job list, consulting the
-persistent result cache, and driving a process pool.  The simulation
-service needs the same behaviour behind a concurrent API, so those
-concerns now live here:
+Every result — a ``run_single`` call, a ``run_matrix`` sweep, a
+``repro serve`` request — comes from :meth:`Scheduler.run`.  This
+module holds:
 
 * :class:`Engine` and :func:`select_engine` — the engine a job runs
   on, chosen in exactly one place from the user's request (``batch``,
@@ -14,30 +12,24 @@ concerns now live here:
   available *before* the run (that manifest is the result-cache key and
   the service's dedup key);
 * :class:`Scheduler` — plans job lists (including ``--shard K/N``
-  slicing), splits off jobs answerable from the persistent result
-  cache, and dispatches the rest to a pluggable
-  :class:`~repro.harness.executors.Executor`.
+  slicing) and answers them: :meth:`Scheduler.run` checks each job
+  against the persistent result cache, runs batch misses through the
+  kernel (:class:`~repro.harness.batch.BatchExecutor`) and the other
+  misses with :func:`~repro.harness.runner._simulate_job`, inline or on
+  a process pool, and stores every fresh result in the calling process.
 
 Every job gets its trace from :func:`~repro.harness.runner.load_trace`
 in whichever process runs it (a batch group decodes the trace-cache
 file with :func:`~repro.trace.columns.load_columnar`); nothing is
-prepared ahead of the executor.
-
-``run_matrix`` is a thin wrapper over this module; the service submits
-the same :class:`SimJob` lists through the same :meth:`Scheduler.run`.
+prepared ahead of the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import ConfigError
-from repro.harness.executors import (
-    Executor,
-    InlineExecutor,
-    ProcessPoolExecutorBackend,
-)
 from repro.harness.result_cache import ResultCache, active_cache
 from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig, table_predictor_spec
@@ -56,9 +48,6 @@ __all__ = [
     "select_engine",
     "SimJob",
     "Scheduler",
-    "execute_job",
-    "default_executor",
-    "pool_executor",
 ]
 
 _ENGINE_KINDS = ("exact", "batch", "sampled")
@@ -146,8 +135,8 @@ def select_engine(
 class SimJob:
     """One schedulable (workload, system) simulation.
 
-    Frozen and picklable so any executor — inline or process pool — can
-    carry it unchanged.  ``engine`` is chosen at *plan* time by
+    Frozen and picklable so a pool worker can run it unchanged.
+    ``engine`` is chosen at *plan* time by
     :func:`select_engine`, so the manifest a job is planned with (its
     cache and dedup key) is the manifest its run carries.  ``env`` is
     the ``REPRO_*`` environment :meth:`Scheduler.plan` captured (None:
@@ -158,7 +147,6 @@ class SimJob:
     system: SystemConfig
     n_branches: int
     pipeline: PipelineConfig | None = None
-    use_result_cache: bool | None = None
     engine: Engine = EXACT
     #: ``select_engine``'s declined requests for this job.
     declined: Declined = ()
@@ -180,74 +168,31 @@ class SimJob:
         """``result`` with this job's declined requests in its manifest.
 
         They describe this request, not the run that filled the cache,
-        so every path that answers a job (fresh run or cache hit)
-        attaches them last.
+        so :meth:`Scheduler.run` attaches them to a cache hit, and to a
+        fresh result only after storing it.
         """
         if self.declined and result.manifest is not None:
             result.manifest["declined"] = dict(self.declined)
         return result
 
 
-def execute_job(job: SimJob) -> Any:
-    """Run one job in the current process (the executor entry point).
+def _chunksize(jobs: Sequence[SimJob], workers: int) -> int:
+    """Pool chunk size for ``jobs``: at most one workload's systems.
 
-    Module-level (not a method) so :class:`ProcessPoolExecutorBackend`
-    can pickle it to workers.  Dispatches on ``job.engine``: a batch job
-    runs through the kernel as a one-config group, every other engine
-    through the runner's scalar path, which loads the trace itself.
+    Jobs are workload-major, so with at least as many workloads as
+    workers one worker runs all systems of a workload back to back: its
+    worker-local trace memo then loads (or generates) each trace once.
     """
-    if job.engine.kind == "batch":
-        from repro.harness.batch import BatchExecutor
-
-        return BatchExecutor().execute([job])[0]
-    from repro.harness.runner import _simulate_job
-
-    return _simulate_job(job)
-
-
-def default_executor(
-    n_jobs: int,
-    n_systems: int,
-    parallel: bool | None = None,
-    workers: int | None = None,
-) -> Executor:
-    """The executor ``run_matrix`` historically picked.
-
-    ``workers`` pins the process count (1 forces inline), ``parallel``
-    is the explicit toggle, and ``None`` auto-enables fan-out at 8+
-    jobs — exactly the pre-refactor thresholds.
-    """
-    from repro.harness.runner import _worker_count
-
-    if workers is not None:
-        parallel = workers > 1
-    elif parallel is None:
-        parallel = n_jobs >= 8
-    if not parallel or n_jobs <= 1:
-        return InlineExecutor()
-    return pool_executor(n_jobs, n_systems, _worker_count(n_jobs, override=workers))
-
-
-def pool_executor(
-    n_jobs: int, n_systems: int, workers: int
-) -> ProcessPoolExecutorBackend:
-    """A ``workers``-process pool whose chunks follow the workload-major order.
-
-    A chunk holds at most one workload's ``n_systems`` jobs, so with at
-    least as many workloads as workers one worker runs all systems of a
-    workload in sequence: its worker-local trace memo then loads (or
-    generates) each trace exactly once.
-    """
-    chunksize = max(1, min(n_systems, -(-n_jobs // workers)))
-    return ProcessPoolExecutorBackend(workers=workers, chunksize=chunksize)
+    systems = len({job.system.name for job in jobs})
+    return max(1, min(systems, -(-len(jobs) // workers)))
 
 
 class Scheduler:
-    """Plans and dispatches simulation jobs against an executor."""
+    """Plans simulation jobs and answers them, cache first."""
 
     def __init__(self, use_result_cache: bool | None = None) -> None:
-        #: Tri-state persistent-cache override applied to every job
-        #: this scheduler plans (None = defer to ``REPRO_RESULT_CACHE``).
+        #: Tri-state persistent-cache override for every job this
+        #: scheduler answers (None = defer to ``REPRO_RESULT_CACHE``).
         self.use_result_cache = use_result_cache
 
     # ------------------------------------------------------------- #
@@ -285,7 +230,6 @@ class Scheduler:
                 system=system,
                 n_branches=n_branches,
                 pipeline=pipeline,
-                use_result_cache=self.use_result_cache,
                 engine=engine,
                 declined=declined,
                 env=env,
@@ -299,46 +243,89 @@ class Scheduler:
         return jobs
 
     # ------------------------------------------------------------- #
-    # cache interaction
-
-    def cache(self) -> ResultCache | None:
-        """The persistent result cache in effect, or None."""
-        return active_cache(self.use_result_cache)
+    # answering
 
     def split_cached(
         self, jobs: Sequence[SimJob]
-    ) -> tuple[dict[int, Any], list[SimJob]]:
+    ) -> "tuple[dict[int, RunResult], list[SimJob]]":
         """Partition jobs into cache-answered results and work to run.
 
         Returns ``(hits, misses)`` where ``hits`` maps each job's index
         in ``jobs`` to its cached
         :class:`~repro.harness.runner.RunResult` and ``misses`` is the
         remaining jobs in order.  With no active cache every job is a
-        miss.  This is how the service answers repeat queries without
-        re-simulation while still counting exactly what it skipped.
+        miss.  The service counts its cache hits with this.
         """
-        cache = self.cache()
-        hits: dict[int, Any] = {}
-        misses: list[SimJob] = []
-        if cache is None:
-            return hits, list(jobs)
-        for index, job in enumerate(jobs):
-            cached = cache.load(job.manifest())
-            if cached is not None:
-                hits[index] = job.attach_declined(cached)
-            else:
-                misses.append(job)
+        found = _lookup(jobs, active_cache(self.use_result_cache))
+        hits = {index: result for index, result in enumerate(found) if result is not None}
+        misses = [job for job, result in zip(jobs, found) if result is None]
         return hits, misses
 
-    # ------------------------------------------------------------- #
-    # dispatch
+    def run(self, jobs: Sequence[SimJob], workers: int = 1) -> "list[RunResult]":
+        """Answer ``jobs`` in order: from the result cache, else by simulating.
 
-    # simbench's traced run wraps this method by name (the ``harness``
-    # span); it goes when the next benchmark change drops that entry.
-    def run(
-        self, jobs: Sequence[SimJob], executor: Executor | None = None
-    ) -> list[Any]:
-        """Execute ``jobs`` on ``executor`` (default inline), in order."""
-        if executor is None:
-            executor = InlineExecutor()
-        return executor.execute(list(jobs))
+        Batch misses run through the kernel in this process.  The other
+        misses run inline when ``workers`` is 1 or only one is left,
+        and otherwise on a ``workers``-process pool whose chunks hold
+        at most one workload's systems each.  This process stores every
+        fresh result as it arrives (pool workers only simulate), so a
+        sweep that raises part-way keeps each result that came back
+        before the failure.
+        """
+        cache = active_cache(self.use_result_cache)
+        results: "list[Any]" = _lookup(jobs, cache)
+        misses = [index for index, result in enumerate(results) if result is None]
+        if not misses:
+            return results
+        batch = [index for index in misses if jobs[index].engine.kind == "batch"]
+        scalar = [index for index in misses if jobs[index].engine.kind != "batch"]
+        if batch:
+            from repro.harness.batch import BatchExecutor
+
+            fresh = BatchExecutor().execute([jobs[index] for index in batch])
+            _store_fresh(jobs, batch, fresh, cache, results)
+        if scalar:
+            from repro.harness.runner import _simulate_job
+
+            todo = [jobs[index] for index in scalar]
+            if workers <= 1 or len(todo) == 1:
+                _store_fresh(jobs, scalar, map(_simulate_job, todo), cache, results)
+            else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    chunksize = _chunksize(todo, workers)
+                    simulated = pool.map(_simulate_job, todo, chunksize=chunksize)
+                    _store_fresh(jobs, scalar, simulated, cache, results)
+        return results
+
+
+def _lookup(
+    jobs: Sequence[SimJob], cache: ResultCache | None
+) -> "list[RunResult | None]":
+    """Each job's cached result (its declined requests attached), or None."""
+    if cache is None:
+        return [None] * len(jobs)
+    found: "list[RunResult | None]" = []
+    for job in jobs:
+        cached = cache.load(job.manifest())
+        found.append(None if cached is None else job.attach_declined(cached))
+    return found
+
+
+def _store_fresh(
+    jobs: Sequence[SimJob],
+    indices: Sequence[int],
+    fresh: "Iterable[RunResult]",
+    cache: ResultCache | None,
+    results: "list[Any]",
+) -> None:
+    """Store each fresh result as it arrives, then slot it into ``results``.
+
+    Declined requests are attached after the store: they describe the
+    request, not the run, so cache entries never carry them.
+    """
+    for index, result in zip(indices, fresh):
+        if cache is not None:
+            cache.store(result)
+        results[index] = jobs[index].attach_declined(result)

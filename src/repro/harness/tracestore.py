@@ -165,9 +165,7 @@ def _import_payload(
     store_path = store_dir(store)
     store_path.mkdir(parents=True, exist_ok=True)
     trace_path = _trace_path(store_path, trace_name)
-    tmp = trace_path.with_name(f"{trace_path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(normalised)
-    tmp.replace(trace_path)
+    _write_atomic(trace_path, normalised)
     meta: dict[str, Any] = {
         "name": trace_name,
         "category": PUBLIC_CATEGORY,
@@ -179,10 +177,22 @@ def _import_payload(
     }
     meta.update(_describe(converted.records))
     meta_path = _meta_path(store_path, trace_name)
-    tmp_meta = meta_path.with_name(f"{meta_path.name}.{os.getpid()}.tmp")
-    tmp_meta.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    tmp_meta.replace(meta_path)
+    _write_atomic(meta_path, (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
     return _spec_from_meta(meta, trace_path)
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a PID-unique tmp file and a rename.
+
+    A failed write or rename removes the tmp file before re-raising.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _spec_from_meta(meta: dict[str, Any], trace_path: Path) -> ImportedTraceSpec:

@@ -35,7 +35,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import ServiceError
 from repro.harness.result_cache import code_fingerprint
-from repro.harness.runner import select_workloads, validate_shard
+from repro.harness.runner import parse_shard, select_workloads
 from repro.harness.sampling import SamplingConfig
 from repro.harness.scale import Scale
 from repro.harness.scheduler import Scheduler, SimJob
@@ -59,6 +59,9 @@ MAX_BRANCHES = 2_000_000
 MAX_JOBS_PER_REQUEST = 1024
 
 _KINDS = ("run", "compare", "sweep")
+
+#: Where an omitted ``sampling`` field takes its value.
+_SAMPLING_DEFAULTS = SamplingConfig()
 _DEFAULT_BRANCHES = {"run": 20_000, "compare": 15_000, "sweep": 15_000}
 
 _ALLOWED_FIELDS: dict[str, frozenset[str]] = {
@@ -135,9 +138,9 @@ def _sampling(payload: Mapping[str, Any]) -> SamplingConfig | None:
         raise ServiceError(f"sampling mode must be off/periodic/simpoint, got {mode!r}")
     if mode == "off":
         return None
-    interval = value.get("interval", 4000)
-    warmup = value.get("warmup", 6000)
-    coverage = value.get("coverage", 0.1)
+    interval = value.get("interval", _SAMPLING_DEFAULTS.interval)
+    warmup = value.get("warmup", _SAMPLING_DEFAULTS.warmup)
+    coverage = value.get("coverage", _SAMPLING_DEFAULTS.coverage)
     for field, item in (("interval", interval), ("warmup", warmup)):
         if not isinstance(item, int) or isinstance(item, bool):
             raise ServiceError(f"sampling field {field!r} must be an integer")
@@ -154,10 +157,7 @@ def _shard(payload: Mapping[str, Any]) -> tuple[int, int] | None:
         return None
     if not isinstance(value, str):
         raise ServiceError(f"'shard' must be a 'K/N' string, got {value!r}")
-    parts = value.split("/")
-    if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
-        raise ServiceError(f"'shard' must be K/N (e.g. 2/8), got {value!r}")
-    return validate_shard((int(parts[0]), int(parts[1])))
+    return parse_shard(value)
 
 
 def _per_category(payload: Mapping[str, Any]) -> int:

@@ -76,7 +76,8 @@ class ServiceJob:
     cancel_requested: bool = False
     #: How many of the request's jobs the result cache answered.
     cache_hits: int = 0
-    #: How many were actually dispatched to an executor.
+    #: How many the cache missed and ``Scheduler.run`` was sent to
+    #: simulate.
     sim_runs: int = 0
 
     def snapshot(self, include_results: bool = False) -> dict[str, Any]:

@@ -11,8 +11,9 @@ Architecture (all stdlib, no new dependencies)::
                                worker threads ◀───┘
                                     │
                                     ▼
-                 Scheduler.split_cached  ──▶ cache-answered results
-                 Scheduler.run(executor) ──▶ fresh simulations
+                 Scheduler.split_cached  ──▶ count cache hits
+                 Scheduler.run           ──▶ results (cache, then
+                                             inline or pool runs)
 
 The HTTP layer is deliberately thin: every route resolves to a method
 on :class:`ReproService`, which owns the job store, the worker pool,
@@ -43,11 +44,10 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from queue import Empty, Queue
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError, ServiceError
-from repro.harness.executors import Executor, InlineExecutor
-from repro.harness.scheduler import Scheduler, SimJob, pool_executor
+from repro.harness.scheduler import Scheduler
 from repro.service.api import parse_request
 from repro.service.jobs import JobState, JobStore, ServiceJob
 from repro.service.limits import QueueGovernor, RateLimiter
@@ -84,9 +84,11 @@ class ServiceConfig:
     rate: float = 20.0
     #: Per-client burst allowance.
     burst: int = 40
-    #: Executor strategy for fresh simulations.
+    #: Where fresh simulations run: ``inline`` in the worker thread, or
+    #: ``pool`` on a process pool.
     executor: str = "inline"
-    #: Process count for ``executor="pool"`` (None = auto).
+    #: Process count for ``executor="pool"`` (None = CPUs - 1); a
+    #: one-process pool runs inline.
     pool_workers: int | None = None
     #: Tri-state persistent result cache override (True = on, the
     #: service default: dedup of completed work depends on it).
@@ -303,12 +305,11 @@ class ReproService:
     # ------------------------------------------------------------- #
     # execution
 
-    def _build_executor(self, jobs: Sequence[SimJob]) -> Executor:
+    def _pool_workers(self) -> int:
+        """Processes for a request's fresh simulations; 1 runs them inline."""
         if self.config.executor == "pool":
-            workers = self.config.pool_workers or max(1, (os.cpu_count() or 2) - 1)
-            systems = len({job.system.name for job in jobs})
-            return pool_executor(len(jobs), systems, workers)
-        return InlineExecutor()
+            return self.config.pool_workers or max(1, (os.cpu_count() or 2) - 1)
+        return 1
 
     def _worker_loop(self) -> None:
         while True:
@@ -347,16 +348,16 @@ class ReproService:
                 )
 
     def _execute(self, job: ServiceJob) -> None:
-        """Run one accepted request: cache split, then fresh work."""
+        """Run one accepted request: count cache hits, then answer the rest."""
         sim_jobs = list(job.request.jobs)
         hits, misses = self.scheduler.split_cached(sim_jobs)
         job.cache_hits = len(hits)
         self.registry.counter("service.cache_hits").inc(len(hits))
         by_index: "dict[int, RunResult]" = dict(hits)
         miss_indices = [i for i in range(len(sim_jobs)) if i not in hits]
-        executor = self._build_executor(misses)
-        if misses and isinstance(executor, InlineExecutor):
-            # Per-job dispatch so a cancel lands between simulations.
+        workers = self._pool_workers()
+        if workers == 1:
+            # Per-job runs so a cancel lands between simulations.
             for index, sim_job in zip(miss_indices, misses):
                 if job.cancel_requested:
                     self._finish(
@@ -365,11 +366,11 @@ class ReproService:
                         error="cancelled while running",
                     )
                     return
-                by_index[index] = self.scheduler.run([sim_job], executor)[0]
+                by_index[index] = self.scheduler.run([sim_job])[0]
                 job.sim_runs += 1
                 self.registry.counter("service.sim_runs").inc()
         elif misses:
-            fresh = self.scheduler.run(misses, executor)
+            fresh = self.scheduler.run(misses, workers)
             for index, result in zip(miss_indices, fresh):
                 by_index[index] = result
             job.sim_runs += len(misses)

@@ -5,7 +5,7 @@ the trace anywhere.  An imported trace is *content*: the workload IS
 the normalised RPTR file produced by :mod:`repro.trace.adapters` from
 a ChampSim/BT9/RPTR payload.  :class:`ImportedTraceSpec` extends
 :class:`~repro.workloads.spec.WorkloadSpec` with that content's
-location and identity so the runner, scheduler, batch executor, and
+location and identity so the runner, scheduler, batch kernel, and
 result cache treat it like any other workload.
 
 Identity is content-addressed: :meth:`ImportedTraceSpec.workload_hash_payload`

@@ -1,5 +1,5 @@
 """Harness integration of the batch sweep kernel: engine planning,
-executor routing, cache keys, and the CLI surface."""
+scheduler routing, cache keys, and the CLI surface."""
 
 import json
 
@@ -111,16 +111,17 @@ class TestExecution:
             assert a.mpki == b.mpki
             assert a.manifest["engine"] == "batch"
 
-    def test_executor_forwards_unmarked_jobs(self):
+    def test_run_answers_mixed_jobs_in_order(self):
         systems = [resolve_system(name) for name in SPEC_NAMES] + [
             resolve_system("baseline-tage")
         ]
         jobs = _plan(systems)
-        results = BatchExecutor().execute(jobs)
-        assert len(results) == len(jobs)
+        results = Scheduler().run(jobs)
+        assert [r.system for r in results] == [s.name for s in systems]
+        assert [r.manifest.get("engine") for r in results] == ["batch"] * 4 + [None]
         tage = results[-1]
-        assert tage.system == "baseline-tage"
         assert tage.ipc > 0.0 and tage.cycles > 0
+        assert Scheduler().run(jobs, workers=2) == results
 
     def test_sharded_sweep_equals_unsharded(self):
         workloads = [get_workload("hpc-fft")]
@@ -154,7 +155,7 @@ class TestExecution:
         # later sweeps decode it once and then hit the columnar cache.
         run_matrix(workloads, systems, _scale(), batch=True)
         # Telemetry plans every job on the exact engine, so plan first
-        # and drive the executor directly: the first execute decodes
+        # and drive the kernel directly: the first execute decodes
         # (miss), the second is served by the decode cache (hit).
         jobs = _plan(systems)
         TELEMETRY.enable()

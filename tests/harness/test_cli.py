@@ -1,5 +1,7 @@
 """Unit tests for the repro CLI."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -120,6 +122,15 @@ class TestCommands:
         assert code == 0
         assert "baseline-tage" in capsys.readouterr().out
 
+    def test_compare_workers_leave_the_environment_alone(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        argv = ["compare", "--workload", "mm-animation", "--branches", "600"]
+        assert main(argv + ["--workers", "1"]) == 0
+        sequential = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert "REPRO_WORKERS" not in os.environ
+        assert capsys.readouterr().out == sequential
+
     def test_diagnose(self, capsys):
         code = main(
             ["diagnose", "--workload", "mm-animation", "--system",
@@ -232,20 +243,29 @@ class TestSamplingFlags:
 
 class TestSweepCommand:
     def test_parse_shard(self):
-        from repro.cli import _parse_shard
+        from repro.errors import ConfigError
+        from repro.harness.runner import parse_shard
 
-        assert _parse_shard("2/8") == (2, 8)
+        assert parse_shard("2/8") == (2, 8)
         for bad in ("2", "a/b", "1/2/3", ""):
-            with pytest.raises(SystemExit):
-                _parse_shard(bad)
+            with pytest.raises(ConfigError, match="K/N"):
+                parse_shard(bad)
 
     def test_parse_shard_rejects_out_of_range(self):
-        from repro.cli import _parse_shard
         from repro.errors import ConfigError
+        from repro.harness.runner import parse_shard
 
         for bad in ("5/4", "0/4", "-1/4", "1/0", "2/-3"):
             with pytest.raises(ConfigError, match="shard"):
-                _parse_shard(bad)
+                parse_shard(bad)
+
+    def test_sweep_malformed_shard_is_an_error_exit(self, capsys):
+        code = main(
+            ["sweep", "--branches", "500", "--systems", "baseline-tage",
+             "--shard", "one/two"]
+        )
+        assert code == 1
+        assert "error: shard must be K/N" in capsys.readouterr().err
 
     def test_sweep_out_of_range_shard_is_an_error_exit(self, capsys):
         code = main(

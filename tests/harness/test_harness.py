@@ -113,7 +113,7 @@ class TestRunner:
             SystemConfig(name="baseline-tage", local_entries=None, scheme=None),
             SystemConfig(name="p", scheme="perfect"),
         ]
-        results = run_matrix([tiny_spec], systems, scale, parallel=False)
+        results = run_matrix([tiny_spec], systems, scale, workers=1)
         assert len(results) == 2
         assert {r.system for r in results} == {"baseline-tage", "p"}
 
@@ -123,7 +123,7 @@ class TestRunner:
             SystemConfig(name="p", scheme="perfect"),
             SystemConfig(name="n", scheme="none"),
         ]
-        results = run_matrix([tiny_spec], systems, scale, parallel=False)
+        results = run_matrix([tiny_spec], systems, scale, workers=1)
         paired = pair_results(results, "baseline-tage")
         assert set(paired) == {"p", "n"}
         assert paired["p"][0].baseline_ipc > 0

@@ -22,7 +22,7 @@ scale = Scale(name="guard", branches_per_workload=600, workloads_per_category=1)
 for cache in (True, True, False):
     run_single(spec, TABLE3_SYSTEMS[0], 600, use_result_cache=cache)
     run_matrix([spec], TABLE3_SYSTEMS[:3], scale, workers=1, use_result_cache=cache)
-run_matrix([spec], TABLE3_SYSTEMS[:3], scale, workers=2, parallel=True, use_result_cache=False)
+run_matrix([spec], TABLE3_SYSTEMS[:3], scale, workers=2, use_result_cache=False)
 assert "numpy" not in sys.modules, "an exact run imported numpy"
 [result] = run_matrix([spec], [resolve_system("gshare:12:10")], scale, batch=True)
 assert result.manifest["engine"] == "batch"

@@ -1,21 +1,20 @@
-"""Tests for the scheduler/executor split behind run_matrix and serve."""
+"""Tests for the scheduler: the one job path behind run_single,
+run_matrix and serve."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import json
 import pickle
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.harness.executors import InlineExecutor, ProcessPoolExecutorBackend
-from repro.harness.runner import run_single, validate_shard
-from repro.harness.scheduler import (
-    Scheduler,
-    SimJob,
-    default_executor,
-    execute_job,
-)
+from repro.harness.result_cache import ResultCache
+from repro.harness.runner import run_matrix, run_single, validate_shard
+from repro.harness.scale import Scale
+from repro.harness.scheduler import Scheduler, SimJob, _chunksize
 from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig
 
@@ -68,10 +67,6 @@ class TestPlanning:
                 scheduler.plan(specs, [_BASE, _LOCAL], _BRANCHES, shard=(k, 3))
             )
         assert recombined == full
-
-    def test_plan_carries_cache_override(self, tiny_spec):
-        jobs = Scheduler(use_result_cache=False).plan([tiny_spec], [_BASE], 500)
-        assert jobs[0].use_result_cache is False
 
     def test_jobs_are_picklable(self, tiny_spec):
         job = SimJob(spec=tiny_spec, system=_BASE, n_branches=500)
@@ -134,27 +129,84 @@ class TestPlanTimeEnvironment:
         assert "declined" not in pristine and pristine["wall_s"] is None
 
 
+class _RecordingPool:
+    """A stand-in ``ProcessPoolExecutor`` that records its sizing and runs
+    the map in this process."""
+
+    created: list["_RecordingPool"] = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.chunksize = None
+        _RecordingPool.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        self.chunksize = chunksize
+        return map(fn, iterable)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every pool ``Scheduler.run`` builds, run in-process and recorded."""
+    monkeypatch.setattr(_RecordingPool, "created", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool.created
+
+
+def _specs(tiny_spec, count):
+    return [
+        dataclasses.replace(tiny_spec, name=f"tiny-{i}", seed=20 + i)
+        for i in range(count)
+    ]
+
+
+_SCALE = Scale(name="t", branches_per_workload=300, workloads_per_category=1)
+_FOUR = [
+    _BASE,
+    _LOCAL,
+    SystemConfig(name="no-repair", scheme="none"),
+    SystemConfig(name="perfect-repair", scheme="perfect"),
+]
+
+
 class TestDefaultExecutor:
-    def test_small_job_lists_run_inline(self):
-        assert isinstance(default_executor(4, 2), InlineExecutor)
+    """Where ``run_matrix`` runs its jobs: inline, or on a pool of what size."""
 
-    def test_eight_jobs_fan_out(self):
-        executor = default_executor(8, 2)
-        assert isinstance(executor, ProcessPoolExecutorBackend)
+    def test_small_job_lists_run_inline(self, tiny_spec, pools):
+        run_matrix(_specs(tiny_spec, 2), [_BASE, _LOCAL], _SCALE)
+        assert pools == []
 
-    def test_workers_one_forces_inline(self):
-        assert isinstance(default_executor(100, 10, workers=1), InlineExecutor)
+    def test_eight_jobs_fan_out(self, tiny_spec, pools, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        run_matrix(_specs(tiny_spec, 4), [_BASE, _LOCAL], _SCALE)
+        assert [pool.max_workers for pool in pools] == [3]
 
-    def test_workers_pin_pool_size(self):
-        executor = default_executor(16, 4, workers=2)
-        assert isinstance(executor, ProcessPoolExecutorBackend)
-        assert executor.workers == 2
-        assert executor.chunksize == 4  # one workload's systems
+    def test_workers_one_forces_inline(self, tiny_spec, pools):
+        run_matrix(_specs(tiny_spec, 4), _FOUR, _SCALE, workers=1)
+        assert pools == []
 
-    def test_explicit_parallel_false(self):
-        assert isinstance(
-            default_executor(100, 10, parallel=False), InlineExecutor
-        )
+    def test_repro_workers_one_runs_inline(self, tiny_spec, pools, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        run_matrix(_specs(tiny_spec, 4), [_BASE, _LOCAL], _SCALE)
+        assert pools == []
+
+    def test_workers_pin_pool_size(self, tiny_spec, pools):
+        results = run_matrix(_specs(tiny_spec, 4), _FOUR, _SCALE, workers=2)
+        assert len(results) == 16
+        [pool] = pools
+        assert (pool.max_workers, pool.chunksize) == (2, 4)  # one workload's systems
+
+    def test_chunks_hold_at_most_one_workloads_systems(self, tiny_spec):
+        jobs = Scheduler().plan(_specs(tiny_spec, 4), _FOUR, 300)
+        assert _chunksize(jobs, 2) == 4
+        assert _chunksize(jobs, 8) == 2
+        assert _chunksize(jobs[:3], 2) == 2
 
 
 class TestExecution:
@@ -169,9 +221,71 @@ class TestExecution:
             direct.cycles,
         )
 
-    def test_execute_job_runs_one(self, tiny_spec):
-        result = execute_job(SimJob(spec=tiny_spec, system=_BASE, n_branches=800))
-        assert result.workload == "tiny" and result.cycles > 0
+    def test_cache_off_neither_reads_nor_writes(self, tiny_spec, tmp_path, monkeypatch):
+        root = tmp_path / "results"
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(root))
+        jobs = Scheduler().plan([tiny_spec], [_BASE], 700)
+        [uncached] = Scheduler(use_result_cache=False).run(jobs)
+        assert not root.exists()
+        Scheduler().run(jobs)
+        [entry] = root.glob("*.json")
+        payload = json.loads(entry.read_text())
+        payload["result"]["cycles"] += 1
+        entry.write_text(json.dumps(payload))
+        assert Scheduler().run(jobs)[0].cycles == uncached.cycles + 1
+        assert Scheduler(use_result_cache=False).run(jobs)[0].cycles == uncached.cycles
+        assert list(root.iterdir()) == [entry]
+
+
+class TestPoolCache:
+    """The calling process reads and writes the cache; workers only simulate."""
+
+    @pytest.fixture
+    def cache_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "results"
+        monkeypatch.setenv("REPRO_RESULT_CACHE", str(root))
+        return root
+
+    def test_calling_process_writes_every_entry(self, tiny_spec, cache_root, monkeypatch):
+        stored = []
+        store = ResultCache.store
+
+        def spy(self, result):
+            # Forked workers would append to their own copy of the list.
+            stored.append(result.system)
+            store(self, result)
+
+        monkeypatch.setattr(ResultCache, "store", spy)
+        jobs = Scheduler().plan(_specs(tiny_spec, 2), [_BASE, _LOCAL], 600, batch=True)
+        first = Scheduler().run(jobs, workers=2)
+        assert len(stored) == len(jobs)
+        entries = sorted(cache_root.glob("*.json"))
+        assert len(entries) == len(jobs)
+        assert list(cache_root.glob("*.tmp")) == []
+        hits, misses = Scheduler().split_cached(jobs)
+        assert misses == [] and sorted(hits) == list(range(len(jobs)))
+        second = Scheduler().run(jobs, workers=2)
+        assert len(stored) == len(jobs)
+        assert [(r.system, r.ipc, r.mpki, r.cycles) for r in second] == [
+            (r.system, r.ipc, r.mpki, r.cycles) for r in first
+        ]
+        declined = {"batch": "not a table predictor"}
+        for result in first + second:
+            assert result.manifest["declined"] == declined
+        for entry in entries:
+            assert "declined" not in json.loads(entry.read_text())["result"]["manifest"]
+
+    def test_failed_sweep_keeps_earlier_results(self, tiny_spec, cache_root):
+        first, second = _specs(tiny_spec, 2)
+        doomed = SystemConfig(name="doomed", tage="no-such-preset")
+        scheduler = Scheduler()
+        jobs = scheduler.plan([first], [_BASE, _LOCAL], 600)
+        jobs += scheduler.plan([second], [_BASE, doomed], 600)
+        with pytest.raises(ConfigError, match="TAGE preset"):
+            scheduler.run(jobs, workers=2)
+        hits, misses = scheduler.split_cached(jobs)
+        assert sorted(hits)[:2] == [0, 1]
+        assert jobs[3] in misses
 
 
 class TestCacheSplit:

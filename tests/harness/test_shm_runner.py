@@ -3,6 +3,7 @@ loading, and corrupt trace-cache repair."""
 
 from __future__ import annotations
 
+import errno
 import os
 import subprocess
 import sys
@@ -103,6 +104,18 @@ class TestStaleTmpSweep:
         assert odd.exists()
         assert noise.exists()
 
+    def test_failed_write_leaves_no_tmp(self, tiny_spec, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+
+        def full_disk(path, records):
+            path.write_bytes(b"RPTR")
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(runner, "write_trace", full_disk)
+        with pytest.raises(OSError, match="No space"):
+            load_trace(tiny_spec, 500)
+        assert list(tmp_path.iterdir()) == []
+
     def test_swept_before_cache_write(self, tiny_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         stale = tmp_path / f"x-1-1.trace.{self._dead_pid()}.tmp"
@@ -117,7 +130,7 @@ class TestPoolTraces:
         scale = Scale(name="t", branches_per_workload=1200, workloads_per_category=1)
         systems = [_BY_NAME["baseline-tage"], _BY_NAME["no-repair"]]
         serial = run_matrix([tiny_spec], systems, scale, workers=1)
-        parallel = run_matrix([tiny_spec], systems, scale, workers=2, parallel=True)
+        parallel = run_matrix([tiny_spec], systems, scale, workers=2)
         assert parallel == serial
 
     def test_cold_cache_pool_sweep_writes_one_trace(
@@ -135,7 +148,7 @@ class TestPoolTraces:
         systems = [_BY_NAME["baseline-tage"], _BY_NAME["no-repair"],
                    _BY_NAME["forward-walk-coalesce"]]
         parallel = run_matrix([tiny_spec], systems, scale, workers=2,
-                              parallel=True, use_result_cache=False)
+                              use_result_cache=False)
         assert [path.name for path in cache.iterdir()] == [
             f"{tiny_spec.name}-{tiny_spec.seed}-900.trace"
         ]
@@ -173,7 +186,6 @@ class TestPoolTraces:
                 [bad],
                 scale,
                 workers=2,
-                parallel=True,
                 use_result_cache=False,
             )
         assert (tmp_path / f"{slow.name}-{slow.seed}-600.trace").exists()

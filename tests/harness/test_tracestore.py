@@ -80,6 +80,20 @@ class TestImport:
         names = [meta["name"] for meta in tracestore.list_imported()]
         assert names == ["public-dijkstra", "public-quicksort"]
 
+    @pytest.mark.parametrize("failing", [".trace", ".meta.json"])
+    def test_failed_rename_leaves_no_tmp(self, tmp_path, monkeypatch, failing):
+        replace = Path.replace
+
+        def flaky(self, target):
+            if str(target).endswith(failing):
+                raise OSError("rename failed")
+            return replace(self, target)
+
+        monkeypatch.setattr(Path, "replace", flaky)
+        with pytest.raises(OSError, match="rename failed"):
+            _import_fixture()
+        assert list((tmp_path / "store").glob("*.tmp")) == []
+
     def test_missing_source_rejected(self):
         with pytest.raises(TraceError, match="not found"):
             tracestore.import_trace(FIXTURES / "nope.trace")
@@ -185,11 +199,11 @@ class TestRunning:
             name="forward-walk-coalesce", scheme="forward", ports="32-4-2",
             coalesce=True,
         )]
-        serial = run_matrix([spec], systems, scale, parallel=False,
+        serial = run_matrix([spec], systems, scale, workers=1,
                             use_result_cache=False)
         runner._TRACE_MEMO.clear()
-        parallel = run_matrix([spec], systems, scale, parallel=True,
-                              workers=2, use_result_cache=False)
+        parallel = run_matrix([spec], systems, scale, workers=2,
+                              use_result_cache=False)
         assert [(r.system, r.ipc, r.mpki) for r in serial] == [
             (r.system, r.ipc, r.mpki) for r in parallel
         ]
@@ -203,7 +217,7 @@ class TestRunning:
                       workloads_per_category=1)
         with pytest.raises(TraceError, match="truncated"):
             run_matrix([spec], [resolve_system("gshare:12:8")], scale,
-                       parallel=False, use_result_cache=False, batch=True)
+                       workers=1, use_result_cache=False, batch=True)
         assert path.exists()
 
     def test_batch_sweep_on_imported_trace(self):
@@ -212,10 +226,10 @@ class TestRunning:
                    ("bimodal:10", "bimodal:12", "gshare:12:8", "gshare:14:10")]
         scale = Scale(name="t", branches_per_workload=spec.trace_records,
                       workloads_per_category=1)
-        exact = run_matrix([spec], systems, scale, parallel=False,
+        exact = run_matrix([spec], systems, scale, workers=1,
                            use_result_cache=False, batch=False)
         runner._TRACE_MEMO.clear()
-        batched = run_matrix([spec], systems, scale, parallel=False,
+        batched = run_matrix([spec], systems, scale, workers=1,
                              use_result_cache=False, batch=True)
         assert [r.mpki for r in exact] == [r.mpki for r in batched]
         assert all(r.manifest["engine"] == "batch" for r in batched)

@@ -19,7 +19,7 @@ import urllib.request
 import pytest
 
 from repro.errors import ServiceError
-from repro.harness.executors import ProcessPoolExecutorBackend
+from repro.harness.scheduler import _chunksize
 from repro.service.api import parse_request
 from repro.service.jobs import JobState
 from repro.service.server import ReproService, ServiceConfig
@@ -249,6 +249,38 @@ class TestDedup:
         assert job["cache_hits"] == 1 and job["sim_runs"] == 0
 
 
+def _answer(config, payload=_RUN):
+    """Start a service, run one request to completion, stop; its snapshot."""
+    service = ReproService(config)
+    service.start()
+    try:
+        host, port = service.address
+        base = f"http://{host}:{port}"
+        _, body, _ = _post(base, payload)
+        return _wait_state(base, body["job"]["id"], "done")
+    finally:
+        service.stop(drain=False, timeout=0.0)
+
+
+class TestResultCacheSetting:
+    """The service's own cache setting governs both reads and writes."""
+
+    def test_default_service_writes_what_it_reads(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_RESULT_CACHE")
+        monkeypatch.chdir(tmp_path)
+        first = _answer(ServiceConfig(port=0, state_dir=None))
+        assert first["sim_runs"] == 1
+        assert len(list((tmp_path / ".repro-cache" / "results").glob("*.json"))) == 1
+        again = _answer(ServiceConfig(port=0, state_dir=None))
+        assert again["cache_hits"] == 1 and again["sim_runs"] == 0
+
+    def test_cache_off_writes_nothing(self, tmp_path):
+        job = _answer(ServiceConfig(port=0, use_result_cache=False, state_dir=None))
+        assert job["sim_runs"] == 1
+        root = tmp_path / "results"
+        assert not root.exists() or list(root.iterdir()) == []
+
+
 _SWEEP = {
     "kind": "sweep",
     "branches": 500,
@@ -264,9 +296,14 @@ class TestPoolExecutor:
             ServiceConfig(executor="pool", pool_workers=2, state_dir=None)
         )
         jobs = parse_request(_SWEEP).jobs
-        executor = service._build_executor(jobs)
-        assert isinstance(executor, ProcessPoolExecutorBackend)
-        assert (executor.workers, executor.chunksize) == (2, 2)
+        assert len(jobs) == 14
+        workers = service._pool_workers()
+        assert (workers, _chunksize(jobs, workers)) == (2, 2)
+
+    def test_one_worker_pool_runs_inline(self):
+        config = ServiceConfig(executor="pool", pool_workers=1, state_dir=None)
+        assert ReproService(config)._pool_workers() == 1
+        assert ReproService(ServiceConfig(state_dir=None))._pool_workers() == 1
 
     def test_pool_sweep_matches_inline(self):
         rows = {}

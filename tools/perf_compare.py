@@ -10,8 +10,7 @@ not so a flaky runner blocks a PR.
 
 Usage (the CI perf-smoke job)::
 
-    python benchmarks/bench_perf.py --branches 4000 --repeats 1 \
-        --out fresh_perf.json --no-sampling
+    repro perf --branches 4000 --repeats 1 --no-sampling --out fresh_perf.json
     python tools/perf_compare.py BENCH_perf.json fresh_perf.json
 
 Throughput and warm-sweep ratios are compared whenever both files
