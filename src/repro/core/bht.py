@@ -100,6 +100,17 @@ class BranchHistoryTable:
         """Slot index of ``pc``, or -1 when absent."""
         return self._slot_by_pc.get(pc, -1)
 
+    def entry(self, pc: int) -> tuple[int, int, bool] | None:
+        """``(slot, state, valid)`` of ``pc``'s entry, or None when absent.
+
+        One probe for the per-branch paths, which read an entry and may
+        write it back through :meth:`write`.
+        """
+        slot = self._slot_by_pc.get(pc, -1)
+        if slot < 0:
+            return None
+        return slot, self._state[slot], self._valid[slot]
+
     def touch(self, slot: int) -> None:
         """Mark a slot most-recently-used."""
         self._tick += 1
@@ -153,6 +164,13 @@ class BranchHistoryTable:
 
     def set_valid(self, slot: int, valid: bool) -> None:
         self._valid[slot] = valid
+
+    def write(self, slot: int, state: int, valid: bool) -> None:
+        """Set a slot's state and valid bit and mark it most-recently-used."""
+        self._state[slot] = state
+        self._valid[slot] = valid
+        self._tick += 1
+        self._lru[slot] = self._tick
 
     def invalidate_pc(self, pc: int) -> bool:
         """Clear the valid bit of ``pc``'s entry if present."""

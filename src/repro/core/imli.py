@@ -142,7 +142,7 @@ class ImliUnit(LocalBranchUnit):
     def resolve(
         self, branch: InflightBranch, flushed: Sequence[InflightBranch], cycle: int
     ) -> None:
-        if not branch.wrong_path and branch.record.kind.is_conditional:
+        if not branch.wrong_path:
             # Train with the state the branch saw at fetch.
             count, last = self._carried_state(branch)
             saved = (self._count, self._last_backward)
@@ -155,8 +155,9 @@ class ImliUnit(LocalBranchUnit):
                     self._table[index] = ctr + 1
             elif ctr > 0:
                 self._table[index] = ctr - 1
-            self._train_chooser(branch)
-            self._note_override_outcome(branch)
+            if branch.local_pred is not None:
+                self._train_chooser(branch)
+                self._note_override_outcome(branch)
         if branch.mispredicted:
             # The whole repair: restore one register pair, then apply
             # the resolved outcome.  Constant cost — IMLI's selling

@@ -5,7 +5,8 @@ carrying everything the paper says an instruction must carry through the
 pipeline: the TAGE history checkpoint (GHIST/PHIST repair), its own
 pre-update BHT state (11-bit counter, §3.1), an OBQ entry id, and — for
 the limited-PC scheme — the pre-update state of the M selected PCs
-(§3.3).
+(§3.3).  The model takes the history checkpoint only for a branch whose
+final direction is wrong, the only kind a repair restores.
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ class InflightBranch:
     # -- prediction ---------------------------------------------------
     predicted_taken: bool = False
     tage_pred: "Prediction | None" = None
+    #: Global history before this branch's push; None unless the final
+    #: direction is wrong (nothing restores a right one's).
     hist_ckpt: "HistoryCheckpoint | None" = None
     local_pred: "LocalPrediction | None" = None
     #: True when the local predictor's direction was used as the final

@@ -91,16 +91,18 @@ class LoopPredictor(LocalPredictorCore):
     # prediction
 
     def lookup(self, pc: int) -> LocalPrediction | None:
-        slot = self.bht.find(pc)
-        if slot < 0 or not self.bht.is_valid(slot):
+        hit = self.bht.entry(pc)
+        if hit is None or not hit[2]:
             return None
-        entry = self.pt.lookup(pc)
-        if entry is None or not entry.confident:
+        trip = self.pt.confident_trip(pc)
+        if trip < 0:
             return None
-        count, dominant = unpack_state(self.bht.state_at(slot))
+        slot, state, _ = hit
         self.bht.touch(slot)
-        taken = dominant if count < entry.trip else not dominant
-        return LocalPrediction(pc=pc, taken=taken, trip=entry.trip, count=count)
+        count = state >> 1
+        dominant = bool(state & 1)
+        taken = dominant if count < trip else not dominant
+        return LocalPrediction(pc, taken, trip, count)
 
     # ------------------------------------------------------------- #
     # speculative state
@@ -122,31 +124,30 @@ class LoopPredictor(LocalPredictorCore):
         return pack_state(1, taken)
 
     def spec_update(self, pc: int, taken: bool) -> SpecUpdate:
-        slot = self.bht.find(pc)
-        if slot < 0:
+        bht = self.bht
+        hit = bht.entry(pc)
+        if hit is None:
             state = pack_state(1, taken)
-            slot = self.bht.allocate(pc, state)
-            return SpecUpdate(
-                pc=pc, slot=slot, pre_state=None, pre_valid=False, post_state=state
-            )
-        pre_state = self.bht.state_at(slot)
-        pre_valid = self.bht.is_valid(slot)
-        post_state = self.next_state(pre_state, taken)
-        self.bht.set_state(slot, post_state)
-        count, dominant = unpack_state(post_state)
-        if taken != dominant or count <= 1:
-            # A direction flip re-initialises the counter: from here the
-            # state is right again regardless of earlier corruption, so
-            # the entry becomes trustworthy (paper §3.1, §3.2.1).
-            self.bht.set_valid(slot, True)
-        self.bht.touch(slot)
-        return SpecUpdate(
-            pc=pc,
-            slot=slot,
-            pre_state=pre_state,
-            pre_valid=pre_valid,
-            post_state=post_state,
-        )
+            return SpecUpdate(pc, bht.allocate(pc, state), None, False, state)
+        slot, pre_state, pre_valid = hit
+        # :meth:`next_state`, inlined (the property tests hold the two
+        # equal).  A direction flip re-initialises the counter: from
+        # there the state is right whatever the earlier corruption, so
+        # the entry becomes trustworthy again (paper §3.1, §3.2.1).
+        count = pre_state >> 1
+        dominant = pre_state & 1
+        if taken == dominant:
+            if count < self._max_count:
+                count += 1
+            post_state = (count << 1) | dominant
+            valid = pre_valid or count <= 1
+        else:
+            # Two consecutive anti-dominant outcomes relearn the
+            # dominant direction; one restarts the count.
+            post_state = pack_state(1, taken) if count == 0 else dominant
+            valid = True
+        bht.write(slot, post_state, valid)
+        return SpecUpdate(pc, slot, pre_state, pre_valid, post_state)
 
     def spec_advance(self, pc: int, taken: bool) -> int | None:
         # Fused fast-forward advance: same writes as spec_update, no
@@ -182,13 +183,11 @@ class LoopPredictor(LocalPredictorCore):
         the iteration the exit happened at.  A wrong own-prediction
         collapses the entry's confidence (the CBPw policy).
         """
-        if predicted is not None and predicted != taken:
+        penalize = predicted is not None and predicted != taken
+        if pre_state is not None and taken != (pre_state & 1):
+            self.pt.train(pc, pre_state >> 1, penalize)
+        elif penalize:
             self.pt.penalize(pc)
-        if pre_state is None:
-            return
-        count, dominant = unpack_state(pre_state)
-        if taken != dominant:
-            self.pt.train_exit(pc, count)
 
     def storage_bits(self) -> int:
         if self._shared_pt:

@@ -89,6 +89,7 @@ class LoopPatternTable:
         self._set_mask = config.sets - 1
         self._set_bits = max(config.sets - 1, 1).bit_length()
         self._ways = config.ways
+        self._threshold = config.confidence_threshold
         self._pcs: list[int] = [_NO_PC] * total
         self._trip: list[int] = [0] * total
         self._conf: list[int] = [0] * total
@@ -122,8 +123,48 @@ class LoopPatternTable:
         return PtEntryView(
             trip=self._trip[slot],
             confidence=conf,
-            confident=conf >= self.config.confidence_threshold,
+            confident=conf >= self._threshold,
         )
+
+    def confident_trip(self, pc: int) -> int:
+        """The learned trip of ``pc`` when confident, else -1.
+
+        The prediction path's :meth:`lookup`: the same LRU refresh on a
+        hit, without building a view.
+        """
+        slot = self._slot_by_pc.get(pc, -1)
+        if slot < 0:
+            return -1
+        self._tick += 1
+        self._lru[slot] = self._tick
+        return self._trip[slot] if self._conf[slot] >= self._threshold else -1
+
+    def train(self, pc: int, observed_trip: int | None, penalize: bool) -> None:
+        """One resolved instance: :meth:`penalize`, then :meth:`train_exit`.
+
+        Either step is skipped when not asked for (``penalize`` False,
+        ``observed_trip`` None); both share one probe of the table.
+        """
+        slot = self._slot_by_pc.get(pc, -1)
+        conf = self._conf
+        if penalize and slot >= 0 and conf[slot] > 0:
+            conf[slot] -= 1
+        if observed_trip is None:
+            return
+        observed_trip = min(observed_trip, self.config.max_trip)
+        if slot < 0:
+            self._allocate(pc, observed_trip)
+            return
+        if self._trip[slot] == observed_trip:
+            if conf[slot] < self.config.max_confidence:
+                conf[slot] += 1
+        elif conf[slot] > 0:
+            conf[slot] -= 1
+        else:
+            self._trip[slot] = observed_trip
+            conf[slot] = 1
+        self._tick += 1
+        self._lru[slot] = self._tick
 
     def train_exit(self, pc: int, observed_trip: int) -> None:
         """Learn from one completed loop execution (an exit event).
@@ -134,21 +175,7 @@ class LoopPatternTable:
         feeds the PT corrupted trips (this is how no-repair poisons even
         future predictions).
         """
-        observed_trip = min(observed_trip, self.config.max_trip)
-        slot = self._find(pc)
-        if slot >= 0:
-            if self._trip[slot] == observed_trip:
-                if self._conf[slot] < self.config.max_confidence:
-                    self._conf[slot] += 1
-            elif self._conf[slot] > 0:
-                self._conf[slot] -= 1
-            else:
-                self._trip[slot] = observed_trip
-                self._conf[slot] = 1
-            self._tick += 1
-            self._lru[slot] = self._tick
-            return
-        self._allocate(pc, observed_trip)
+        self.train(pc, observed_trip, False)
 
     def penalize(self, pc: int) -> None:
         """Back off confidence after the predictor itself mispredicted.
@@ -161,9 +188,7 @@ class LoopPatternTable:
         entries on trip-entropy blips, while no penalty lets a counter
         desynced by pattern noise keep issuing wrong overrides.
         """
-        slot = self._find(pc)
-        if slot >= 0 and self._conf[slot] > 0:
-            self._conf[slot] -= 1
+        self.train(pc, None, True)
 
     def _allocate(self, pc: int, trip: int) -> None:
         base = self._set_base(pc)

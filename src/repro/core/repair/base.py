@@ -10,13 +10,14 @@ The :class:`~repro.core.unit.StandardLocalUnit` drives a scheme through
 the following per-branch hooks, in order:
 
 * ``can_predict(pc, cycle)`` — may the BHT serve a prediction now?
-* ``can_update(pc, cycle)`` — may the BHT take a speculative update now?
+  The same answer says whether it may take the branch's speculative
+  update (``can_update``), so the units ask once per branch;
 * ``before_update(branch, cycle)`` — about to apply the speculative
   update (snapshot-style schemes checkpoint *before* the write);
 * ``on_spec_update(branch, cycle)`` — the update was applied;
   ``branch.spec`` carries the pre-state (history-file schemes push it);
 * ``note_resolution(branch, cycle)`` — every correct-path resolution
-  (utility tracking for limited-PC);
+  that carries a local prediction (utility tracking for limited-PC);
 * ``on_mispredict(branch, flushed, cycle)`` — perform the repair;
 * ``on_retire(branch, cycle)`` — release checkpoint entries.
 """
@@ -128,8 +129,12 @@ class RepairScheme(abc.ABC):
         return cycle >= self._busy_until
 
     def can_update(self, pc: int, cycle: int) -> bool:
-        """May ``pc``'s BHT entry take a speculative update this cycle?"""
-        return cycle >= self._busy_until
+        """May ``pc``'s BHT entry take a speculative update this cycle?
+
+        Always the :meth:`can_predict` answer: an entry that may not
+        serve a prediction may not take an update either.
+        """
+        return self.can_predict(pc, cycle)
 
     @property
     def busy_until(self) -> int:
@@ -146,7 +151,7 @@ class RepairScheme(abc.ABC):
         """``branch``'s speculative update was applied (spec attached)."""
 
     def note_resolution(self, branch: InflightBranch, cycle: int) -> None:
-        """A correct-path branch resolved (independent of direction)."""
+        """A correct-path branch with a local prediction resolved."""
 
     @abc.abstractmethod
     def on_mispredict(

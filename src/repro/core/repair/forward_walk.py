@@ -75,9 +75,6 @@ class ForwardWalkRepair(RepairScheme):
         # become available as soon as their (single) repair write lands.
         return ready is None or cycle >= ready
 
-    def can_update(self, pc: int, cycle: int) -> bool:
-        return self.can_predict(pc, cycle)
-
     # ------------------------------------------------------------- #
     # checkpointing
 
@@ -193,7 +190,6 @@ class ForwardWalkRepair(RepairScheme):
     # reporting
 
     def storage_bits(self) -> int:
-        assert self.local is not None or True
         # OBQ entries + 1 repair bit per BHT entry + ROB-carried bits
         # (5-bit OBQ entry id + 11-bit pre-update counter), per Table 3.
         bht_entries = self.local.bht.config.entries if self.local is not None else 128

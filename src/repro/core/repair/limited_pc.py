@@ -88,9 +88,6 @@ class LimitedPcRepair(RepairScheme):
         ready = self._ready.get(pc)
         return ready is None or cycle >= ready
 
-    def can_update(self, pc: int, cycle: int) -> bool:
-        return self.can_predict(pc, cycle)
-
     # ------------------------------------------------------------- #
     # candidate tracking
 
@@ -147,15 +144,11 @@ class LimitedPcRepair(RepairScheme):
         bht = self.local.bht
         carried: list[CarriedRepair] = []
         for pc in self._select(branch.pc):
-            slot = bht.find(pc)
-            if slot < 0:
-                carried.append(CarriedRepair(pc=pc, state=None, valid=False))
+            hit = bht.entry(pc)
+            if hit is None:
+                carried.append(CarriedRepair(pc, None, False))
             else:
-                carried.append(
-                    CarriedRepair(
-                        pc=pc, state=bht.state_at(slot), valid=bht.is_valid(slot)
-                    )
-                )
+                carried.append(CarriedRepair(pc, hit[1], hit[2]))
         if self.queue is not None:
             snap_id = self.queue.take(branch.uid, carried)
             branch.snapshot_id = snap_id

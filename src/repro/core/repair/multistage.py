@@ -64,6 +64,8 @@ class MultiStageConfig:
 class MultiStageUnit(LocalBranchUnit):
     """Two-stage CBPw-Loop: immediate BHT-TAGE + checkpointed BHT-Defer."""
 
+    alloc_stage = True
+
     def __init__(self, config: MultiStageConfig | None = None) -> None:
         super().__init__()
         self.config = config = config if config is not None else MultiStageConfig()
@@ -130,10 +132,13 @@ class MultiStageUnit(LocalBranchUnit):
     # alloc stage: BHT-Defer
 
     def at_alloc(self, branch: InflightBranch, cycle: int) -> bool:
-        pc = branch.pc
+        pc = branch.record.pc
         scheme = self.scheme
         defer_pred = None
-        if scheme.can_predict(pc, cycle):
+        # One availability answer for the lookup and the update (see
+        # StandardLocalUnit.predict).
+        available = scheme.can_predict(pc, cycle)
+        if available:
             defer_pred = self.defer.lookup(pc)
         else:
             # Instruction reached BHT-Defer mid-repair: no prediction,
@@ -154,7 +159,7 @@ class MultiStageUnit(LocalBranchUnit):
             self.stats.early_resteers += 1
             self.stats.overrides += 1
 
-        if scheme.can_update(pc, cycle):
+        if available:
             scheme.before_update(branch, cycle)
             branch.spec = self.defer.spec_update(pc, final)
             scheme.on_spec_update(branch, cycle)
@@ -170,20 +175,23 @@ class MultiStageUnit(LocalBranchUnit):
     def resolve(
         self, branch: InflightBranch, flushed: Sequence[InflightBranch], cycle: int
     ) -> None:
-        if not branch.wrong_path and branch.record.kind.is_conditional:
-            actual = branch.actual_taken
-            own = branch.local_pred.taken if branch.local_used else None
+        if not branch.wrong_path:
+            pc = branch.record.pc
+            actual = branch.record.taken
+            local_pred = branch.local_pred
+            own = local_pred.taken if local_pred is not None and branch.local_used else None
             defer_pre = branch.spec.pre_state if branch.spec is not None else None
-            self._train_chooser(branch)
-            self.defer.train(branch.pc, defer_pre, actual, own)
+            self.defer.train(pc, defer_pre, actual, own)
             if self.config.split_pt:
                 front_pre = (
                     branch.front_spec.pre_state
                     if branch.front_spec is not None
                     else None
                 )
-                self.front.train(branch.pc, front_pre, actual, own)
-            self._note_override_outcome(branch)
+                self.front.train(pc, front_pre, actual, own)
+            if local_pred is not None:
+                self._train_chooser(branch)
+                self._note_override_outcome(branch)
         if branch.mispredicted:
             defer_done = self.scheme.on_mispredict(branch, flushed, cycle)
             self._resync_front(defer_done)

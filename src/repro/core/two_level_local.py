@@ -117,23 +117,20 @@ class TwoLevelLocalPredictor(LocalPredictorCore):
         return 1 if taken else 0
 
     def spec_update(self, pc: int, taken: bool) -> SpecUpdate:
-        slot = self.bht.find(pc)
-        if slot < 0:
+        hit = self.bht.entry(pc)
+        if hit is None:
             state = 1 if taken else 0
             slot = self.bht.allocate(pc, state)
             return SpecUpdate(
                 pc=pc, slot=slot, pre_state=None, pre_valid=False, post_state=state
             )
-        pre_state = self.bht.state_at(slot)
-        pre_valid = self.bht.is_valid(slot)
+        slot, pre_state, pre_valid = hit
         post_state = self.next_state(pre_state, taken)
-        self.bht.set_state(slot, post_state)
-        self.bht.touch(slot)
         # For a pattern predictor, corrupt bits shift out after
         # history_bits updates; we model the "recovers naturally" effect
         # by re-validating unconditionally (the PT confidence margin
         # already guards early predictions).
-        self.bht.set_valid(slot, True)
+        self.bht.write(slot, post_state, True)
         return SpecUpdate(
             pc=pc,
             slot=slot,

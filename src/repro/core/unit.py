@@ -5,8 +5,9 @@ The unit implements the per-branch event sequence of Figure 3A:
 
 1. ``predict`` (fetch): BHT/PT lookup, override decision against the
    baseline prediction, then the speculative BHT update and checkpoint;
-2. ``at_alloc`` (allocation stage): a hook for multi-stage designs —
-   the standard unit does nothing here;
+2. ``at_alloc`` (allocation stage): a hook for multi-stage designs,
+   called only for units that set ``alloc_stage`` — the standard unit
+   has no allocation-stage predictor;
 3. ``resolve`` (execution): PT/confidence training and, on a
    misprediction, the repair scheme's walk;
 4. ``retire``: checkpoint release (and, for update-at-retire, the
@@ -61,6 +62,10 @@ class LocalBranchUnit(abc.ABC):
     _CHOOSER_MAX = 15
     _CHOOSER_USE = 8
 
+    #: True when the unit predicts again at the allocation stage; the
+    #: pipeline calls :meth:`at_alloc` only for such units.
+    alloc_stage = False
+
     def __init__(self) -> None:
         self.stats = UnitStats()
         self._chooser = self._CHOOSER_USE + 1
@@ -71,7 +76,11 @@ class LocalBranchUnit(abc.ABC):
         return self._chooser >= self._CHOOSER_USE
 
     def _train_chooser(self, branch: InflightBranch) -> None:
-        """Adapt the chooser on every resolved differing prediction."""
+        """Adapt the chooser on every resolved differing prediction.
+
+        A no-op without a local prediction, as is
+        :meth:`_note_override_outcome`: callers may skip both then.
+        """
         lp = branch.local_pred
         tage = branch.tage_pred
         if lp is None or tage is None or lp.taken == tage.taken:
@@ -100,7 +109,10 @@ class LocalBranchUnit(abc.ABC):
         """
 
     def at_alloc(self, branch: InflightBranch, cycle: int) -> bool:
-        """Allocation-stage hook; may revise the direction (multi-stage)."""
+        """Allocation-stage hook; may revise the direction (multi-stage).
+
+        The pipeline calls it only when :attr:`alloc_stage` is set.
+        """
         return branch.predicted_taken
 
     @abc.abstractmethod
@@ -145,31 +157,33 @@ class StandardLocalUnit(LocalBranchUnit):
     # ------------------------------------------------------------- #
 
     def predict(self, branch: InflightBranch, base_taken: bool, cycle: int) -> bool:
-        pc = branch.pc
+        pc = branch.record.pc
         stats = self.stats
         scheme = self.scheme
         stats.lookups += 1
 
-        local_pred = None
-        if scheme.can_predict(pc, cycle):
+        # One availability answer serves the lookup and the update:
+        # every scheme's ``can_update`` equals its ``can_predict`` for
+        # the same (pc, cycle), and the lookup changes neither.
+        available = scheme.can_predict(pc, cycle)
+        final = base_taken
+        if available:
             local_pred = self.local.lookup(pc)
+            if local_pred is not None:
+                branch.local_pred = local_pred
+                stats.local_predictions += 1
+                if local_pred.taken == base_taken:
+                    branch.local_used = True
+                elif self._chooser >= self._CHOOSER_USE:
+                    branch.local_used = True
+                    final = local_pred.taken
+                    stats.overrides += 1
         else:
             stats.denied_busy += 1
-
-        final = base_taken
-        branch.local_pred = local_pred
-        if local_pred is not None:
-            stats.local_predictions += 1
-            if local_pred.taken == base_taken:
-                branch.local_used = True
-            elif self.override_enabled:
-                branch.local_used = True
-                final = local_pred.taken
-                stats.overrides += 1
         branch.predicted_taken = final
 
         if scheme.speculative_updates:
-            if scheme.can_update(pc, cycle):
+            if available:
                 scheme.before_update(branch, cycle)
                 branch.spec = self.local.spec_update(pc, final)
                 scheme.on_spec_update(branch, cycle)
@@ -191,26 +205,31 @@ class StandardLocalUnit(LocalBranchUnit):
     def resolve(
         self, branch: InflightBranch, flushed: Sequence[InflightBranch], cycle: int
     ) -> None:
-        if not branch.wrong_path and branch.record.kind.is_conditional:
+        record = branch.record
+        if not branch.wrong_path:
+            local_pred = branch.local_pred
             if self.scheme.speculative_updates:
-                pre = branch.spec.pre_state if branch.spec is not None else None
+                spec = branch.spec
                 # Confidence is penalized only for predictions that
                 # were actually issued to the pipeline: hardware sees a
                 # "loop predictor misprediction" only when the loop
                 # predictor provided the final direction.
-                own = branch.local_pred.taken if branch.local_used else None
-                self.local.train(branch.pc, pre, branch.actual_taken, own)
-            self.scheme.note_resolution(branch, cycle)
-            self._train_chooser(branch)
-            self._note_override_outcome(branch)
-        if branch.mispredicted:
+                self.local.train(
+                    record.pc,
+                    spec.pre_state if spec is not None else None,
+                    record.taken,
+                    local_pred.taken if local_pred is not None and branch.local_used else None,
+                )
+            if local_pred is not None:
+                # All three hooks are no-ops without a local prediction.
+                self.scheme.note_resolution(branch, cycle)
+                self._train_chooser(branch)
+                self._note_override_outcome(branch)
+        if branch.predicted_taken != record.taken:
             self.scheme.on_mispredict(branch, flushed, cycle)
 
     def retire(self, branch: InflightBranch, cycle: int) -> None:
-        if (
-            not self.scheme.speculative_updates
-            and branch.record.kind.is_conditional
-        ):
+        if not self.scheme.speculative_updates:
             # Update-at-retire: the only BHT write happens here, with
             # the architectural outcome.
             spec = self.local.spec_update(branch.pc, branch.actual_taken)

@@ -29,7 +29,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 import repro
 from repro.telemetry import TELEMETRY
@@ -80,28 +80,44 @@ def code_fingerprint() -> str:
     return _FINGERPRINT
 
 
+#: Entry file names by (config hash, workload hash, code fingerprint);
+#: cleared when it reaches :data:`_ENTRY_MEMO_SIZE` names.
+_ENTRY_NAMES: dict[tuple[str, str, str], str] = {}
+_ENTRY_MEMO_SIZE = 4096
+
+
+def _entry_name(config_hash: str, workload_hash: str) -> str:
+    """File name of the entry for one run under the current code."""
+    key = (config_hash, workload_hash, code_fingerprint())
+    name = _ENTRY_NAMES.get(key)
+    if name is None:
+        if len(_ENTRY_NAMES) >= _ENTRY_MEMO_SIZE:
+            _ENTRY_NAMES.clear()
+        digest = stable_hash({"config": config_hash, "workload": workload_hash, "code": key[2]})
+        name = _ENTRY_NAMES[key] = f"{digest}.json"
+    return name
+
+
 class ResultCache:
     """Directory of cached runs, one JSON document per (key) entry."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
 
-    def entry_path(self, manifest: dict[str, Any]) -> Path:
-        """Cache file for the run a manifest describes."""
-        key = stable_hash(
-            {
-                "config": manifest["config_hash"],
-                "workload": manifest["workload_hash"],
-                "code": code_fingerprint(),
-            }
-        )
-        return self.root / f"{key}.json"
+    def entry_path(self, manifest: Mapping[str, Any]) -> Path:
+        """Cache file for the run a manifest describes.
 
-    def load(self, manifest: dict[str, Any]) -> "RunResult | None":
+        Only the manifest's ``config_hash`` and ``workload_hash`` are
+        read, with the code fingerprint.
+        """
+        return self.root / _entry_name(manifest["config_hash"], manifest["workload_hash"])
+
+    def load(self, manifest: Mapping[str, Any]) -> "RunResult | None":
         """Cached result for ``manifest``'s run, or None on a miss.
 
-        Unreadable, truncated, or outdated-format entries are treated
-        as misses — the caller re-simulates and overwrites them.
+        ``manifest`` may hold just the two hashes :meth:`entry_path`
+        reads.  Unreadable, truncated, or outdated-format entries are
+        treated as misses — the caller re-simulates and overwrites them.
         """
         from repro.harness.runner import RunResult
 

@@ -35,7 +35,7 @@ from repro.harness.sampling import SamplingConfig
 from repro.harness.systems import SystemConfig, table_predictor_spec
 from repro.pipeline.config import DEFAULT_PIPELINE, PipelineConfig
 from repro.telemetry import TELEMETRY
-from repro.telemetry.manifest import EnvPairs, build_manifest, capture_env
+from repro.telemetry.manifest import EnvPairs, build_manifest, capture_env, run_hashes
 from repro.workloads.spec import WorkloadSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -163,6 +163,21 @@ class SimJob:
             engine=self.engine.tag,
             env=self.env,
         ).as_dict()
+
+    def cache_key(self) -> dict[str, str]:
+        """The two manifest hashes the result cache keys this job's run on.
+
+        Unlike :meth:`manifest`, this captures no environment.
+        """
+        config_hash, workload_hash = run_hashes(
+            self.spec,
+            self.system,
+            self.n_branches,
+            self.pipeline if self.pipeline is not None else DEFAULT_PIPELINE,
+            sampling=self.engine.sampling,
+            engine=self.engine.tag,
+        )
+        return {"config_hash": config_hash, "workload_hash": workload_hash}
 
     def attach_declined(self, result: "RunResult") -> "RunResult":
         """``result`` with this job's declined requests in its manifest.
@@ -303,12 +318,16 @@ class Scheduler:
 def _lookup(
     jobs: Sequence[SimJob], cache: ResultCache | None
 ) -> "list[RunResult | None]":
-    """Each job's cached result (its declined requests attached), or None."""
+    """Each job's cached result (its declined requests attached), or None.
+
+    Jobs are looked up by their two memoized hashes: only a job that is
+    simulated builds its manifest and captures the environment.
+    """
     if cache is None:
         return [None] * len(jobs)
     found: "list[RunResult | None]" = []
     for job in jobs:
-        cached = cache.load(job.manifest())
+        cached = cache.load(job.cache_key())
         found.append(None if cached is None else job.attach_declined(cached))
     return found
 

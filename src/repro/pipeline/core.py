@@ -104,6 +104,11 @@ class PipelineModel:
         (the unit predicts from the in-flight branch), a pure lookup (a
         declined step re-runs the full predict path) and the default
         checkpoint/spec_push (the step pushes the history itself).
+
+        ``_alloc_stage`` is True only for a unit that declares an
+        allocation-stage predictor
+        (:attr:`~repro.core.unit.LocalBranchUnit.alloc_stage`); no other
+        unit's ``at_alloc`` is called.
         """
         baseline = self.baseline
         self._base_lookup = baseline.lookup
@@ -125,6 +130,7 @@ class PipelineModel:
             and default_push
         )
         self._fused_resolve = baseline.spec_resolve_correct if fusable else None
+        self._alloc_stage = self.unit is not None and self.unit.alloc_stage
         self._btb_lookup = self.btb.lookup
         self._btb_install = self.btb.install
         # Immutable timing parameters hoisted out of the per-branch path
@@ -139,6 +145,7 @@ class PipelineModel:
         self._retire_width = cfg.retire_width
         self._rob_entries = cfg.rob_entries
         self._btb_miss_penalty = cfg.btb_miss_penalty
+        self._early_resteer_penalty = cfg.early_resteer_penalty
 
     # ------------------------------------------------------------- #
     # public API
@@ -267,20 +274,13 @@ class PipelineModel:
                 if record.taken:
                     stats.taken_branches += 1
             if fused is None or not fused(record.pc, record.taken):
+                # Positional (uid, record, wrong_path, squashed, fetch,
+                # alloc and resolve cycles): half the cost of keywords.
                 branch = InflightBranch(
-                    uid=uid,
-                    record=record,
-                    wrong_path=wrong_path,
-                    fetch_cycle=fetch_cycle,
-                    alloc_cycle=alloc_cycle,
-                    resolve_cycle=resolve_cycle,
+                    uid, record, wrong_path, False, fetch_cycle, alloc_cycle, resolve_cycle
                 )
-                self._predict(branch, fetch_cycle, alloc_cycle)
-                if (
-                    not wrong_path
-                    and branch.tage_pred is not None
-                    and branch.tage_pred.taken != record.taken
-                ):
+                base_taken = self._predict(branch, record, fetch_cycle, alloc_cycle)
+                if not wrong_path and base_taken != record.taken:
                     stats.base_wrong += 1
 
         # Single boolean check on the (default) disabled-telemetry path;
@@ -319,30 +319,47 @@ class PipelineModel:
         self._rob.append((retire_cycle, group, branch))
         return branch
 
-    def _predict(self, branch: InflightBranch, fetch_cycle: int, alloc_cycle: int) -> None:
-        """Fetch-stage prediction plus alloc-stage (deferred) hook."""
-        pc = branch.record.pc
+    def _predict(
+        self,
+        branch: InflightBranch,
+        record: BranchRecord,
+        fetch_cycle: int,
+        alloc_cycle: int,
+    ) -> bool:
+        """Fetch-stage prediction plus alloc-stage (deferred) hook.
+
+        Returns the baseline predictor's own direction.  The final
+        direction is settled first, so the history checkpoint is taken
+        only when it is wrong: a misprediction episode restores the
+        checkpoints of the mispredicting branch and of wrong-path
+        branches that resolve mispredicted, and no other code reads
+        one.  The unit's hooks touch no global-history state, so
+        checkpointing and pushing after them is exact.
+        """
+        pc = record.pc
         base_pred = self._base_lookup(pc)
         branch.tage_pred = base_pred
-        branch.hist_ckpt = self._base_checkpoint()
-
-        final = base_pred.taken
+        base_taken = fetched = final = base_pred.taken
         unit = self.unit
         if unit is not None:
-            final = unit.predict(branch, base_pred.taken, fetch_cycle)
+            fetched = final = unit.predict(branch, base_taken, fetch_cycle)
+            if self._alloc_stage:
+                branch.predicted_taken = fetched
+                final = unit.at_alloc(branch, alloc_cycle)
+                if branch.early_resteer and not branch.wrong_path:
+                    # Deferred override: squash the younger front-end
+                    # contents and restart fetch behind this branch.
+                    self.stats.early_resteers += 1
+                    restart = alloc_cycle + self._early_resteer_penalty
+                    if restart > self._fe_cycle:
+                        self._fe_cycle = restart
         branch.predicted_taken = final
-        self._base_spec_push(pc, final)
-
-        if unit is not None:
-            final = unit.at_alloc(branch, alloc_cycle)
-            if branch.early_resteer and not branch.wrong_path:
-                # Deferred override: squash the younger front-end
-                # contents and restart fetch behind this branch.
-                self.stats.early_resteers += 1
-                restart = alloc_cycle + self.config.early_resteer_penalty
-                if restart > self._fe_cycle:
-                    self._fe_cycle = restart
-            branch.predicted_taken = final
+        if final != record.taken:
+            branch.hist_ckpt = self._base_checkpoint()
+        # The history takes the fetch-stage direction, also when the
+        # alloc stage overrode it (ROADMAP item 8).
+        self._base_spec_push(pc, fetched)
+        return base_taken
 
     def _allocate(self, alloc_cycle: int, group: int) -> int:
         """Retire until ``group`` fits the full ROB; the delayed alloc cycle."""
@@ -375,30 +392,43 @@ class PipelineModel:
     def _mispredict_episode(self, branch: InflightBranch, stream: TraceStream) -> None:
         """Wrong-path fetch, nested wrong-path repairs, flush, resteer."""
         cfg = self.config
+        stats = self.stats
+        baseline = self.baseline
+        unit = self.unit
         resolve = branch.resolve_cycle
         episode: list[InflightBranch] = []
         pending: list[InflightBranch] = []
         episode_start_fe = self._fe_cycle
-        wp_mispredicts_before = self.stats.wrong_path_mispredicts
+        wp_mispredicts_before = stats.wrong_path_mispredicts
 
-        if cfg.wrong_path:
-            replay = stream.recent(cfg.wrong_path_window)
+        replay = stream.recent(cfg.wrong_path_window) if cfg.wrong_path else []
+        if replay:
+            replay_len = len(replay)
+            max_branches = cfg.wrong_path_max_branches
+            fetch_width = self._fetch_width
+            rob = self._rob
+            retire_up_to = self._retire_up_to
+            issue = self._issue
             index = 0
             produced = 0
-            while replay and produced < cfg.wrong_path_max_branches:
+            while produced < max_branches:
+                fe_cycle = self._fe_cycle
                 # The back end keeps retiring older correct-path work
                 # while the front end runs down the wrong path.
-                self._retire_up_to(self._fe_cycle)
-                record = replay[index % len(replay)]
+                if rob and rob[0][0] <= fe_cycle:
+                    retire_up_to(fe_cycle)
+                record = replay[index % replay_len]
                 index += 1
-                group_cycles = -(-(record.inst_gap + 1) // cfg.fetch_width)
-                if self._fe_cycle + group_cycles - 1 >= resolve:
+                if fe_cycle + -(-(record.inst_gap + 1) // fetch_width) - 1 >= resolve:
                     break
-                wp_branch = self._issue(record, wrong_path=True)
+                wp_branch = issue(record, True)
                 if wp_branch is not None:
                     episode.append(wp_branch)
                     produced += 1
-                    if wp_branch.mispredicted and wp_branch.resolve_cycle < resolve:
+                    if (
+                        wp_branch.predicted_taken != record.taken
+                        and wp_branch.resolve_cycle < resolve
+                    ):
                         pending.append(wp_branch)
 
         # Wrong-path branches can resolve mispredicted before the real
@@ -410,24 +440,22 @@ class PipelineModel:
             flushed = [
                 b for b in episode if b.uid > wp_branch.uid and not b.squashed
             ]
-            self.stats.wrong_path_mispredicts += 1
-            if wp_branch.hist_ckpt is not None:
-                self.baseline.recover(
-                    wp_branch.hist_ckpt, wp_branch.pc, wp_branch.actual_taken
-                )
-            if self.unit is not None:
-                self.unit.resolve(wp_branch, flushed, wp_branch.resolve_cycle)
+            stats.wrong_path_mispredicts += 1
+            baseline.recover(wp_branch.hist_ckpt, wp_branch.pc, wp_branch.actual_taken)
+            if unit is not None:
+                unit.resolve(wp_branch, flushed, wp_branch.resolve_cycle)
             for squashed in flushed:
                 squashed.squashed = True
 
         # The real resolution: flush everything younger, restore the
         # global history, train, repair, resteer.
         flushed = [b for b in episode if not b.squashed]
-        self.stats.mispredictions += 1
-        self.baseline.recover(branch.hist_ckpt, branch.pc, branch.actual_taken)
-        self.baseline.train(branch.tage_pred, branch.actual_taken)
-        if self.unit is not None:
-            self.unit.resolve(branch, flushed, resolve)
+        stats.mispredictions += 1
+        actual = branch.record.taken
+        baseline.recover(branch.hist_ckpt, branch.record.pc, actual)
+        baseline.train(branch.tage_pred, actual)
+        if unit is not None:
+            unit.resolve(branch, flushed, resolve)
         for squashed in flushed:
             squashed.squashed = True
         self._fe_cycle = resolve + cfg.resteer_penalty
@@ -450,8 +478,7 @@ class PipelineModel:
                         resolve_cycle=resolve,
                         wrong_path_branches=len(episode),
                         wrong_path_mispredicts=(
-                            self.stats.wrong_path_mispredicts
-                            - wp_mispredicts_before
+                            stats.wrong_path_mispredicts - wp_mispredicts_before
                         ),
                         flushed=len(flushed),
                     )

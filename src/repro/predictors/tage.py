@@ -24,7 +24,7 @@ from repro.errors import ConfigError
 from repro.predictors.base import GlobalPredictor, Prediction
 from repro.predictors.history import FoldedHistory, GlobalHistory
 
-__all__ = ["TageTableConfig", "TageConfig", "TagePredictor", "TageLookup"]
+__all__ = ["TageTableConfig", "TageConfig", "TagePredictor"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,27 +138,6 @@ class TageConfig:
             for length, tag in zip(lengths, tags)
         )
         return cls(name="tage-57kb", bimodal_log=14, tables=tables)
-
-
-@dataclass(slots=True)
-class TageLookup:
-    """Private lookup payload threaded from ``lookup`` to ``train``.
-
-    ``indices``/``tags`` are the per-table values computed once at
-    lookup time; ``train``/``_allocate`` reuse them instead of
-    re-hashing (the history has moved on by train time, so re-hashing
-    would also be *wrong*, not merely slow).
-    """
-
-    indices: list[int]
-    tags: list[int]
-    provider: int  # table index, or -1 for bimodal
-    provider_pred: bool
-    alt_pred: bool
-    alt_table: int  # table of the alternate prediction, -1 for bimodal
-    bimodal_index: int
-    bimodal_pred: bool
-    weak_provider: bool  # provider entry looked newly allocated
 
 
 class TagePredictor(GlobalPredictor):
@@ -291,29 +270,17 @@ class TagePredictor(GlobalPredictor):
             weak = False
             taken = bim_pred
 
-        meta = TageLookup(
-            indices=indices,
-            tags=tags,
-            provider=provider,
-            provider_pred=provider_pred,
-            alt_pred=alt_pred,
-            alt_table=alt_table,
-            bimodal_index=bim_index,
-            bimodal_pred=bim_pred,
-            weak_provider=weak,
-        )
-        return Prediction(pc=pc, taken=taken, meta=meta)
+        # The payload :meth:`train` reads: the per-table indices/tags
+        # computed here (the history has moved on by train time, so
+        # re-hashing would also be *wrong*, not merely slow), the
+        # provider and alternate tables (-1: bimodal) with their
+        # directions, the bimodal index, and whether the provider entry
+        # looked newly allocated.
+        meta = (indices, tags, provider, provider_pred, alt_pred, alt_table, bim_index, weak)
+        return Prediction(pc, taken, meta)
 
     # ----------------------------------------------------------------- #
     # training
-
-    def _update_counter(self, table: int, index: int, taken: bool) -> None:
-        ctr = self._ctr[table][index]
-        if taken:
-            if ctr < self._ctr_max:
-                self._ctr[table][index] = ctr + 1
-        elif ctr > self._ctr_min:
-            self._ctr[table][index] = ctr - 1
 
     def _update_bimodal(self, index: int, taken: bool) -> None:
         value = self._bimodal[index]
@@ -323,64 +290,72 @@ class TagePredictor(GlobalPredictor):
         elif value > 0:
             self._bimodal[index] = value - 1
 
-    def _allocate(self, meta: TageLookup, taken: bool) -> None:
-        """On a misprediction, claim an entry with longer history."""
-        start = meta.provider + 1
-        if start >= self._n_tables:
-            return
-        # Random skew so allocation pressure spreads across tables.
-        if self._n_tables - start > 1 and (self._rand() & 3) == 0:
-            start += 1
-            if start >= self._n_tables:
-                return
-        for t in range(start, self._n_tables):
-            index = meta.indices[t]
-            if self._u[t][index] == 0:
-                self._ctr[t][index] = 0 if taken else -1
-                self._tag[t][index] = meta.tags[t]
-                return
-        # No victim: age candidates so a future allocation succeeds.
-        for t in range(start, self._n_tables):
-            index = meta.indices[t]
-            if self._u[t][index] > 0:
-                self._u[t][index] -= 1
-
     def train(self, prediction: Prediction, taken: bool) -> None:
-        meta: TageLookup = prediction.meta
-        final_pred = prediction.taken
+        indices, tags, provider, provider_pred, alt_pred, alt_table, bim_index, weak = (
+            prediction.meta
+        )
 
         self._updates_since_reset += 1
         if self._updates_since_reset >= self.config.u_reset_period:
             self._updates_since_reset = 0
             self._age_useful()
 
-        if meta.provider >= 0:
-            provider, index = meta.provider, meta.indices[meta.provider]
+        if provider >= 0:
+            index = indices[provider]
             # Track whether the alternate would have been the better call
             # for newly allocated entries.
-            if meta.weak_provider and meta.provider_pred != meta.alt_pred:
-                if meta.alt_pred == taken:
+            if weak and provider_pred != alt_pred:
+                if alt_pred == taken:
                     if self._use_alt < self._use_alt_max:
                         self._use_alt += 1
                 elif self._use_alt > 0:
                     self._use_alt -= 1
-            self._update_counter(provider, index, taken)
-            if meta.alt_table < 0:
+            ctr_row = self._ctr[provider]
+            ctr = ctr_row[index]
+            if taken:
+                if ctr < self._ctr_max:
+                    ctr_row[index] = ctr + 1
+            elif ctr > self._ctr_min:
+                ctr_row[index] = ctr - 1
+            if alt_table < 0:
                 # The bimodal was the alternate; keep it trained too so
                 # entries can be recycled without losing the base case.
-                self._update_bimodal(meta.bimodal_index, taken)
-            if meta.provider_pred != meta.alt_pred:
-                u = self._u[provider][index]
-                if meta.provider_pred == taken:
+                self._update_bimodal(bim_index, taken)
+            if provider_pred != alt_pred:
+                u_row = self._u[provider]
+                u = u_row[index]
+                if provider_pred == taken:
                     if u < self._u_max:
-                        self._u[provider][index] = u + 1
+                        u_row[index] = u + 1
                 elif u > 0:
-                    self._u[provider][index] = u - 1
+                    u_row[index] = u - 1
         else:
-            self._update_bimodal(meta.bimodal_index, taken)
+            self._update_bimodal(bim_index, taken)
 
-        if final_pred != taken:
-            self._allocate(meta, taken)
+        if prediction.taken == taken:
+            return
+        # Misprediction: claim an entry with longer history.
+        n = self._n_tables
+        start = provider + 1
+        if start >= n:
+            return
+        # Random skew so allocation pressure spreads across tables.
+        if n - start > 1 and (self._rand() & 3) == 0:
+            start += 1
+            if start >= n:
+                return
+        u_tables = self._u
+        for t in range(start, n):
+            index = indices[t]
+            if u_tables[t][index] == 0:
+                self._ctr[t][index] = 0 if taken else -1
+                self._tag[t][index] = tags[t]
+                return
+        # No victim: age candidates so a future allocation succeeds.
+        for t in range(start, n):
+            index = indices[t]
+            if u_tables[t][index] > 0:
+                u_tables[t][index] -= 1
 
     def warm_update(self, pc: int, taken: bool) -> None:
         """Fused warm-window update: lookup + push + train in one pass.
@@ -388,7 +363,7 @@ class TagePredictor(GlobalPredictor):
         Bit-identical in effect to ``train(lookup(pc), taken)`` with the
         actual outcome pushed into the history in between (the committed
         state any exact run converges to), but with the Prediction and
-        TageLookup payloads elided — the fast-forward warm window calls
+        its payload elided — the fast-forward warm window calls
         this once per conditional branch, where the allocation traffic
         of the generic path costs more than the table work itself.
         """
@@ -494,7 +469,7 @@ class TagePredictor(GlobalPredictor):
         """Fused correct-path step: lookup, and if right, push + train.
 
         One provider scan serves both the prediction and the training
-        updates, with the ``Prediction``/``TageLookup`` payloads elided —
+        updates, with the ``Prediction`` and its payload elided —
         the same fusion as :meth:`warm_update`, but for the speculative
         committed path: the history push inserts the *predicted*
         direction, which on this path equals ``taken``.  Returns False

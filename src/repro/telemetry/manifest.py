@@ -28,7 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.config import PipelineConfig
     from repro.workloads.spec import WorkloadSpec
 
-__all__ = ["RunManifest", "build_manifest", "capture_env", "stable_hash"]
+__all__ = ["RunManifest", "build_manifest", "capture_env", "run_hashes", "stable_hash"]
 
 #: Bump when the hashed payload layout changes.
 _MANIFEST_VERSION = 1
@@ -145,6 +145,32 @@ def _workload_hash(
     return stable_hash({"spec": spec_payload, "branches": n_branches})
 
 
+def run_hashes(
+    spec: "WorkloadSpec",
+    system: "SystemConfig",
+    n_branches: int,
+    pipeline: "PipelineConfig",
+    sampling: "SamplingConfig | None" = None,
+    engine: str | None = None,
+) -> tuple[str, str]:
+    """``(config_hash, workload_hash)`` of one run, as its manifest holds them.
+
+    Both come from the memoized digests, so a repeated input costs two
+    cache probes and no environment capture (see :func:`build_manifest`).
+    """
+    if sampling is not None and not sampling.enabled:
+        sampling = None
+    sampling_types = (
+        None if sampling is None else tuple(map(type, sampling.to_payload().values()))
+    )
+    config_types = (_types(system), _types(pipeline), sampling_types)
+    spec_types = (_types(spec), _types(spec.params))
+    return (
+        _config_hash(system, pipeline, sampling, engine, config_types),
+        _workload_hash(spec, n_branches, spec_types),
+    )
+
+
 def build_manifest(
     spec: "WorkloadSpec",
     system: "SystemConfig",
@@ -173,16 +199,12 @@ def build_manifest(
     """
     if sampling is not None and not sampling.enabled:
         sampling = None
-    sampling_payload = sampling.to_payload() if sampling is not None else None
-    config_types = (
-        _types(system),
-        _types(pipeline),
-        None if sampling_payload is None else tuple(map(type, sampling_payload.values())),
+    config_hash, workload_hash = run_hashes(
+        spec, system, n_branches, pipeline, sampling, engine
     )
-    spec_types = (_types(spec), _types(spec.params))
     return RunManifest(
-        config_hash=_config_hash(system, pipeline, sampling, engine, config_types),
-        workload_hash=_workload_hash(spec, n_branches, spec_types),
+        config_hash=config_hash,
+        workload_hash=workload_hash,
         workload=spec.name,
         system=system.name,
         branches=n_branches,
@@ -191,6 +213,6 @@ def build_manifest(
         python=platform.python_version(),
         platform=f"{sys.platform}-{platform.machine()}",
         env=dict(capture_env() if env is None else env),
-        sampling=sampling_payload,
+        sampling=sampling.to_payload() if sampling is not None else None,
         engine=engine,
     )

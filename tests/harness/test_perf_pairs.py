@@ -52,3 +52,49 @@ def test_verdicts_and_failed_runs():
     assert row["verdict"] == "unresolved"
     failed = [(_run(returncode=1, rate=1.0), _run(rate=2.0))]
     assert perf_pairs.summarise(failed, _CONTRACT) == []
+
+
+def test_gain_needs_nine_tenths_of_pairs_and_a_margin_over_the_parent_iqr():
+    parents = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]
+    wins = [(_run(rate=p), _run(rate=p * 1.3)) for p in parents]
+    [row] = perf_pairs.summarise(wins, _CONTRACT)
+    assert row["wins"] == 10 and row["verdict"] == "gain"
+    # One loss in ten still claims; a tie counts for neither side, so a
+    # tie plus a loss leaves eight of ten, which does not.
+    one_loss = wins[:9] + [(_run(rate=100.0), _run(rate=90.0))]
+    [row] = perf_pairs.summarise(one_loss, _CONTRACT)
+    assert row["verdict"] == "gain"
+    tie_and_loss = wins[:8] + [
+        (_run(rate=100.0), _run(rate=100.0)),
+        (_run(rate=100.0), _run(rate=90.0)),
+    ]
+    [row] = perf_pairs.summarise(tie_and_loss, _CONTRACT)
+    assert row["wins"] == 8 and row["verdict"] == "ok"
+    # Lower-is-better metrics claim in their own direction.
+    faster = [(_run(setup_s=p / 100), _run(setup_s=p / 200)) for p in parents]
+    [row] = perf_pairs.summarise(faster, _CONTRACT)
+    assert row["verdict"] == "gain"
+
+
+def test_no_gain_when_the_margin_is_inside_the_parent_iqr():
+    pairs = [
+        (_run(rate=parent), _run(rate=parent + 1.0))
+        for parent in (90.0, 95.0, 100.0, 105.0, 110.0)
+    ]
+    [row] = perf_pairs.summarise(pairs, _CONTRACT)
+    assert row["wins"] == 5 and row["verdict"] == "ok"
+
+
+def test_separated_runs_are_not_unresolved():
+    # The parent spreads past the bound, but every change run beats
+    # every parent run, by less than the parent's IQR: ok, not gain.
+    pairs = [
+        (_run(rate=parent), _run(rate=change))
+        for parent, change in ((10.0, 102.0), (100.0, 103.0), (101.0, 104.0))
+    ]
+    [row] = perf_pairs.summarise(pairs, _CONTRACT)
+    assert row["verdict"] == "ok"
+    # One overlapping run keeps it unresolved.
+    pairs[0] = (_run(rate=10.0), _run(rate=100.5))
+    [row] = perf_pairs.summarise(pairs, _CONTRACT)
+    assert row["verdict"] == "unresolved"

@@ -9,10 +9,12 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.harness import result_cache as rc
+from repro.harness import scheduler as scheduler_module
 from repro.harness.runner import RunResult, _worker_count, run_single
 from repro.harness.systems import SystemConfig
 from repro.pipeline.config import PipelineConfig
 from repro.telemetry import TELEMETRY
+from repro.telemetry import manifest as manifest_module
 
 _SYSTEM = SystemConfig(name="baseline-tage", local_entries=None, scheme=None)
 _LOCAL = SystemConfig(
@@ -70,6 +72,22 @@ class TestCacheHitAndMiss:
         second = run_single(tiny_spec, _SYSTEM, _BRANCHES)
         assert len(_entry_paths()) == 2
         assert (first.ipc, first.cycles) == (second.ipc, second.cycles)
+
+    def test_hit_captures_no_environment(self, tiny_spec, monkeypatch):
+        first = run_single(tiny_spec, _SYSTEM, _BRANCHES)
+        captures = []
+        real_capture = manifest_module.capture_env
+
+        def counting_capture():
+            captures.append(1)
+            return real_capture()
+
+        monkeypatch.setattr(manifest_module, "capture_env", counting_capture)
+        monkeypatch.setattr(scheduler_module, "capture_env", counting_capture)
+        second = run_single(tiny_spec, _SYSTEM, _BRANCHES)
+        assert captures == []
+        assert second == first
+        assert second.manifest == first.manifest
 
     def test_corrupt_entry_is_a_miss(self, tiny_spec):
         first = run_single(tiny_spec, _SYSTEM, _BRANCHES)

@@ -7,8 +7,9 @@ alternates which checkout goes first (the parent on even pairs), so a
 slow stretch of a shared host lands on both sides.  Per workload and
 metric it prints the median [Q1, Q3] of each side, the change ÷ parent
 ratio of the medians, the pairs the change won (by the metric's
-``better`` direction) and a verdict against the metric's bound.  Runs
-that exit non-zero are listed and left out of the pairs.
+``better`` direction) and a verdict: ``gain`` by the claim rule, else
+judged against the metric's bound.  Runs that exit non-zero are listed
+and left out of the pairs.
 
 Usage::
 
@@ -89,10 +90,18 @@ def summarise(
 ) -> list[dict[str, Any]]:
     """Per-metric rows over the (parent, change) pairs that both succeeded.
 
-    A metric is ``worse`` when the change's median is worse than the
-    parent's by more than its bound, ``unresolved`` when either side's
-    spread (IQR ÷ median) exceeds the bound, else ``ok``.  Metrics
-    without a bound (per-layer ones) get no verdict.
+    Verdicts, first match wins:
+
+    * ``worse`` — the change's median is worse than the parent's by
+      more than the metric's bound;
+    * ``gain`` — the change won at least nine tenths of the pairs (a
+      tie counts for neither side) and its median beats the parent's by
+      more than the parent's IQR;
+    * ``unresolved`` — either side's spread (IQR ÷ median) exceeds the
+      bound, unless every change run beats every parent run;
+    * ``ok``.
+
+    Metrics without a bound (per-layer ones) get no verdict.
     """
     good = [
         (parent, change)
@@ -120,7 +129,15 @@ def summarise(
                 (p_q3 - p_q1) / abs(p_med), (c_q3 - c_q1) / abs(c_med) if c_med else 0.0
             )
             loss = (p_med - c_med) / abs(p_med) * sign
-            verdict = "worse" if loss > bound else "unresolved" if spread > bound else "ok"
+            separated = min(sign * c for c in change) > max(sign * p for p in parent)
+            if loss > bound:
+                verdict = "worse"
+            elif 10 * wins >= 9 * len(good) and sign * (c_med - p_med) > p_q3 - p_q1:
+                verdict = "gain"
+            elif spread > bound and not separated:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
         rows.append(
             {
                 "metric": name,
