@@ -1,14 +1,14 @@
 """Perf bench: simulator throughput and warm-sweep reuse.
 
 Measures cold single-run branches/sec per system and the wall-clock of
-a repeated ``run_matrix`` sweep served by the persistent result cache,
-then writes ``BENCH_perf.json`` at the repo root.  Run it under
-pytest-benchmark with the rest of this directory::
+a repeated ``run_matrix`` sweep served by the persistent result cache.
+Run it under pytest-benchmark with the rest of this directory::
 
     REPRO_SCALE=smoke python -m pytest benchmarks/bench_perf.py
 
-The command-line entry is ``repro perf`` (CI perf-smoke runs
-``repro perf --branches 4000 --repeats 1 --no-sampling``).
+The report goes to the test's temporary directory: the committed
+``BENCH_perf.json`` ledger is written only by ``repro perf`` (CI
+perf-smoke runs ``repro perf --branches 4000 --repeats 1 --no-sampling``).
 
 The assertions only sanity-check structure (throughput positive, warm
 pass faster than cold) — absolute numbers are machine-dependent and
@@ -17,14 +17,10 @@ belong in the JSON, not in a gate.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from repro.harness.perf import DEFAULT_SYSTEMS, run_perf
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
-
-def test_bench_perf(benchmark, scale):
+def test_bench_perf(benchmark, scale, tmp_path):
     """pytest-benchmark entry: one full perf measurement at ``scale``.
 
     Skips the sampled-vs-exact section — its locked accuracy config
@@ -36,7 +32,7 @@ def test_bench_perf(benchmark, scale):
         kwargs={
             "branches": scale.branches_per_workload,
             "repeats": 1,
-            "out": _REPO_ROOT / "BENCH_perf.json",
+            "out": tmp_path / "BENCH_perf.json",
             "sampling_branches": None,
         },
         iterations=1,

@@ -688,20 +688,34 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the simlint invariant checker over source trees",
     )
-    # Flag set mirrors simlint.cli.add_lint_arguments; kept inline so the
-    # common repro commands never pay the simlint import.
-    p_lint.add_argument("paths", nargs="*", metavar="PATH")
-    p_lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    p_lint.add_argument("--select", metavar="RULES", default=None)
-    p_lint.add_argument("--no-suppress", action="store_true")
-    p_lint.add_argument("--list-rules", action="store_true")
-    p_lint.add_argument("--jobs", type=int, default=0, metavar="N")
-    p_lint.add_argument("--fix", action="store_true")
-    p_lint.add_argument("--cache-dir", metavar="DIR", default=".simlint-cache")
-    p_lint.add_argument("--no-cache", action="store_true")
-    p_lint.add_argument("--baseline", metavar="FILE", default=".simlint-baseline.json")
-    p_lint.add_argument("--no-baseline", action="store_true")
-    p_lint.add_argument("--update-baseline", action="store_true")
+    p_lint.add_argument(
+        "paths",
+        nargs="*",
+        metavar="PATH",
+        help="files or directories to lint (e.g. src tests tools)",
+    )
+    p_lint.add_argument(
+        "--format",
+        choices=("text", "json", "sarif"),
+        default="text",
+        help="violation report format (default: text)",
+    )
+    p_lint.add_argument(
+        "--select",
+        metavar="RULES",
+        default=None,
+        help="comma-separated rule IDs to report (default: all)",
+    )
+    p_lint.add_argument(
+        "--no-suppress",
+        action="store_true",
+        help="report violations even where suppression comments cover them",
+    )
+    p_lint.add_argument(
+        "--list-rules",
+        action="store_true",
+        help="print the rule catalogue and exit",
+    )
     p_lint.set_defaults(func=_cmd_lint)
 
     p_serve = sub.add_parser(

@@ -1,7 +1,8 @@
 """simlint: project-wide invariant checker for the simulator.
 
-v2 runs two passes: per-file **local** rules, and whole-program
-**project** rules that query a program model (module graph, symbol
+One lint run reads and parses each file once, runs the per-file
+**local** rules over it, then runs the whole-program **project** rules
+over a program model built from the same trees (module graph, symbol
 table, call graph — see :mod:`repro.devtools.simlint.program`).
 
 Shipped rules (full catalogue in ``docs/static-analysis.md``):
@@ -34,9 +35,8 @@ Programmatic use::
     report = lint_paths(["src", "tests", "tools"])
     assert report.clean, report.violations
 
-The CLI (``repro lint``) additionally enables the incremental cache,
-the committed baseline, multi-process fan-out (``--jobs``), SARIF
-output and the ``--fix`` autofixer.
+The command line is ``repro lint``, which adds text, JSON and SARIF
+reports and the exit-code contract (:mod:`repro.devtools.simlint.cli`).
 """
 
 from __future__ import annotations

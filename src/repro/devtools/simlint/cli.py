@@ -1,123 +1,30 @@
-"""Command-line front end for simlint.
+"""``repro lint``: run simlint over source trees and report.
 
-Invoked as ``repro lint ...`` (the CLI subcommand delegates here) or
-directly via ``python -m repro.devtools.simlint``.
+``repro.cli`` defines the flags and imports this module only when the
+``lint`` subcommand runs, so the other commands never pay for it.
 
 Exit codes are part of the contract (CI keys off them):
 
 * ``0`` — all files parsed and no violations,
 * ``1`` — at least one violation (including unparseable files),
 * ``2`` — internal error: bad invocation, unknown rule, checker crash.
-
-Defaults match the CI gate: the incremental cache lives in
-``.simlint-cache`` and a committed ``.simlint-baseline.json`` (when
-present) waives the recorded debt.  ``--no-cache``/``--no-baseline``
-turn either off; library callers get both off unless asked
-(:func:`~repro.devtools.simlint.engine.lint_paths`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import Sequence
 
-from repro.devtools.simlint.baseline import DEFAULT_BASELINE
-from repro.devtools.simlint.cache import DEFAULT_CACHE_DIR
 from repro.devtools.simlint.engine import lint_paths
 from repro.devtools.simlint.model import LintError, all_rules
 from repro.devtools.simlint.rules import load as _load_rules
 
-__all__ = ["build_parser", "run_lint", "main"]
+__all__ = ["run_lint"]
 
 EXIT_CLEAN = 0
 EXIT_VIOLATIONS = 1
 EXIT_INTERNAL = 2
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Lint flags, shared between ``simlint`` and ``repro lint``."""
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        metavar="PATH",
-        help="files or directories to lint (e.g. src tests tools)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="violation report format (default: text)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="RULES",
-        default=None,
-        help="comma-separated rule IDs to run (default: all)",
-    )
-    parser.add_argument(
-        "--no-suppress",
-        action="store_true",
-        help="report violations even where suppression comments cover them",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker processes for the per-file pass (0 = auto)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply mechanical fixes (stale suppressions, unused imports, "
-        "ReproError conversions) before reporting",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=f"incremental-analysis cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"baseline file of waived findings (default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="fail on baselined findings too (audit the full debt)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="record the current findings as the new baseline and exit clean",
-    )
-
-
-def build_parser(prog: str = "repro lint") -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=prog,
-        description="Project-wide invariant checker for the simulator "
-        "(determinism taint, lock discipline, telemetry purity, error "
-        "hygiene, API typing).",
-    )
-    add_lint_arguments(parser)
-    return parser
 
 
 def _print_rules() -> None:
@@ -126,17 +33,7 @@ def _print_rules() -> None:
         roles = ",".join(sorted(role.value for role in rule.roles))
         print(f"{rule.rule_id}  {rule.summary}")
         print(f"         invariant: {rule.invariant}")
-        print(f"         applies to: {roles}  [{rule.kind.value}, v{rule.version}]")
-
-
-def _baseline_path(args: argparse.Namespace) -> str | None:
-    if args.no_baseline:
-        return None
-    if args.update_baseline:
-        return args.baseline
-    # A lint without a baseline file is simply un-baselined; do not
-    # invent an empty one on disk.
-    return args.baseline if os.path.exists(args.baseline) else None
+        print(f"         applies to: {roles}  [{rule.kind.value}]")
 
 
 def run_lint(args: argparse.Namespace) -> int:
@@ -152,21 +49,11 @@ def run_lint(args: argparse.Namespace) -> int:
         if args.select
         else None
     )
-    cache_dir = None if args.no_cache else args.cache_dir
     try:
-        if args.fix:
-            from repro.devtools.simlint.fixes import apply_fixes
-
-            for fix in apply_fixes(args.paths, jobs=args.jobs, cache_dir=cache_dir):
-                print(f"fixed {fix.path}:{fix.line}: {fix.rule} {fix.description}")
         report = lint_paths(
             args.paths,
             select=select,
             respect_suppressions=not args.no_suppress,
-            jobs=args.jobs,
-            cache_dir=cache_dir,
-            baseline_path=_baseline_path(args),
-            update_baseline=args.update_baseline,
         )
     except LintError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -185,17 +72,5 @@ def run_lint(args: argparse.Namespace) -> int:
             print(violation.render())
         counts = ", ".join(f"{k}:{v}" for k, v in report.counts().items())
         status = "clean" if report.clean else f"violations ({counts})"
-        waived = f", {report.waived} waived by baseline" if report.waived else ""
-        print(f"simlint: {report.files} files, {status}{waived}")
+        print(f"simlint: {report.files} files, {status}")
     return EXIT_CLEAN if report.clean else EXIT_VIOLATIONS
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser(prog="simlint").parse_args(
-        list(argv) if argv is not None else None
-    )
-    return run_lint(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

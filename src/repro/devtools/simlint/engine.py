@@ -1,16 +1,13 @@
 """simlint engine: discovery, the local and project passes, filtering.
 
-v2 runs in two passes.  The **local pass** parses each file once and
-runs every :class:`~repro.devtools.simlint.model.RuleKind.LOCAL` rule
-that applies to the file's role; its raw output is cached per file
-(content hash + rule versions) and fans out across processes with
-``--jobs``.  The **project pass** assembles a
-:class:`~repro.devtools.simlint.program.ProgramModel` from every parsed
-file and runs the whole-program rules (lock order, determinism taint,
-write-path purity), with the stale-suppression check last so it can see
-every other rule's raw findings.  Suppressions, ``--select`` and the
-baseline are applied at the end, over raw findings — so cache entries
-survive filter changes.
+A lint run reads and parses each file once.  The **local pass** runs
+every :class:`~repro.devtools.simlint.model.RuleKind.LOCAL` rule that
+applies to the file's role.  The **project pass** assembles a
+:class:`~repro.devtools.simlint.program.ProgramModel` from the same
+parse trees and runs the whole-program rules (lock order, determinism
+taint, write-path purity), with the stale-suppression check last so it
+can see every other rule's raw findings.  Suppressions and ``--select``
+are applied at the end, over raw findings.
 
 All simulator knowledge lives in the rule modules; the engine only
 orchestrates.
@@ -20,17 +17,9 @@ from __future__ import annotations
 
 import ast
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.devtools.simlint.baseline import load_baseline, write_baseline
-from repro.devtools.simlint.cache import (
-    FileResult,
-    LintCache,
-    file_key,
-    program_key,
-)
 from repro.devtools.simlint.model import (
     PARSE_RULE_ID,
     REGISTRY,
@@ -38,18 +27,14 @@ from repro.devtools.simlint.model import (
     FileContext,
     LintError,
     ModuleRole,
+    Rule,
     Violation,
     local_rules,
     project_rules,
-    rules_signature,
 )
 from repro.devtools.simlint.program import build_program
 from repro.devtools.simlint.rules import load as _load_rules
-from repro.devtools.simlint.suppress import (
-    Suppressions,
-    from_directives,
-    parse_suppressions,
-)
+from repro.devtools.simlint.suppress import Suppressions, parse_suppressions
 
 __all__ = [
     "LintReport",
@@ -58,7 +43,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "scan_source",
 ]
 
 #: Subpackages of ``repro`` with simulation semantics: bit-determinism
@@ -68,12 +52,7 @@ SIM_PACKAGES = frozenset(
 )
 
 #: Directory names never descended into during discovery.
-_SKIP_DIRS = frozenset(
-    {"__pycache__", ".git", ".mypy_cache", ".ruff_cache", ".simlint-cache"}
-)
-
-#: Below this many cache misses a process pool costs more than it saves.
-_MIN_FANOUT = 8
+_SKIP_DIRS = frozenset({"__pycache__", ".git", ".mypy_cache", ".ruff_cache"})
 
 
 def _normalise(path: str) -> tuple[str, ...]:
@@ -135,59 +114,46 @@ def _resolve_select(select: Iterable[str] | None) -> frozenset[str]:
 
 
 # ----------------------------------------------------------------- #
-# local pass
+# per-file pass
 
 
-def _parse(source: str, path: str) -> ast.Module | Violation:
+def _check_file(
+    path: str, source: str, role: ModuleRole, rules: Iterable[Rule]
+) -> tuple[ast.Module | None, list[Violation]]:
+    """Parse one file and run the given local rules over it.
+
+    Returns the parse tree (None when the file does not parse, whose
+    only finding is then ``PARSE001``) and the raw, unfiltered findings.
+    """
     try:
-        return ast.parse(source, filename=path)
+        tree = ast.parse(source, filename=path)
     except (SyntaxError, ValueError) as exc:
         line = getattr(exc, "lineno", None) or 1
         col = getattr(exc, "offset", None) or 0
-        return Violation(
-            path=path,
-            line=line,
-            col=col,
-            rule=PARSE_RULE_ID,
-            message=f"file does not parse: {exc.args[0] if exc.args else exc}",
-        )
-
-
-def scan_source(path: str, source: str) -> FileResult:
-    """Run every applicable local rule; raw findings, no filtering."""
-    _load_rules()
-    suppressions = parse_suppressions(source)
-    parsed = _parse(source, path)
-    if isinstance(parsed, Violation):
-        return FileResult(
-            violations=(parsed,),
-            directives=suppressions.directives,
-            parse_ok=False,
-        )
-    role = infer_role(path)
+        detail = exc.args[0] if exc.args else exc
+        return None, [
+            Violation(
+                path=path,
+                line=line,
+                col=col,
+                rule=PARSE_RULE_ID,
+                message=f"file does not parse: {detail}",
+            )
+        ]
     ctx = FileContext(
         path=path,
         role=role,
         source=source,
-        tree=parsed,
+        tree=tree,
         parts=_normalise(path),
     )
     found = [
         violation
-        for rule in local_rules()
+        for rule in rules
         if rule.applies(role)
         for violation in rule.check(ctx)
     ]
-    return FileResult(
-        violations=tuple(sorted(found, key=Violation.sort_key)),
-        directives=suppressions.directives,
-        parse_ok=True,
-    )
-
-
-def _scan_worker(item: tuple[str, str]) -> FileResult:
-    """Process-pool entry point for one (path, source) unit."""
-    return scan_source(*item)
+    return tree, found
 
 
 def _read(path: str) -> str:
@@ -196,92 +162,6 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise LintError(f"cannot read {path!r}: {exc}") from exc
-
-
-def _resolve_jobs(jobs: int) -> int:
-    if jobs > 0:
-        return jobs
-    return min(os.cpu_count() or 1, 8)
-
-
-def _local_pass(
-    files: Sequence[str], cache: LintCache, jobs: int
-) -> tuple[dict[str, str], dict[str, FileResult], dict[str, str]]:
-    """Read + scan every file, via cache and process pool.
-
-    Returns (sources, results, per-file cache keys).
-    """
-    signature = rules_signature(local_rules())
-    sources: dict[str, str] = {}
-    keys: dict[str, str] = {}
-    results: dict[str, FileResult] = {}
-    misses: list[str] = []
-    for path in files:
-        source = _read(path)
-        sources[path] = source
-        keys[path] = file_key(source, signature)
-        hit = cache.load_file(path, keys[path])
-        if hit is None:
-            misses.append(path)
-        else:
-            results[path] = hit
-    jobs = _resolve_jobs(jobs)
-    if jobs > 1 and len(misses) >= _MIN_FANOUT:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            scanned = pool.map(
-                _scan_worker,
-                [(path, sources[path]) for path in misses],
-                chunksize=max(1, len(misses) // (jobs * 4)),
-            )
-            for path, result in zip(misses, scanned):
-                results[path] = result
-    else:
-        for path in misses:
-            results[path] = scan_source(path, sources[path])
-    for path in misses:
-        cache.store_file(path, keys[path], results[path])
-    return sources, results, keys
-
-
-# ----------------------------------------------------------------- #
-# project pass
-
-
-def _project_pass(
-    sources: dict[str, str],
-    results: dict[str, FileResult],
-    suppressions: dict[str, Suppressions],
-) -> list[Violation]:
-    """Build the program model and run every whole-program rule."""
-    entries = []
-    for path, result in sorted(results.items()):
-        if not result.parse_ok:
-            continue
-        parsed = _parse(sources[path], path)
-        if isinstance(parsed, Violation):  # raced with an edit; degrade
-            continue
-        entries.append(
-            (path, infer_role(path), sources[path], parsed, _normalise(path))
-        )
-    model = build_program(entries)
-    for path, result in results.items():
-        model.raw_violations[path] = list(result.violations)
-    model.suppressions = dict(suppressions)
-    rules = project_rules()
-    ordered = [rule for rule in rules if rule.rule_id != STALE_RULE_ID] + [
-        rule for rule in rules if rule.rule_id == STALE_RULE_ID
-    ]
-    found: list[Violation] = []
-    for rule in ordered:
-        produced = list(rule.check(model))
-        for violation in produced:
-            model.raw_violations.setdefault(violation.path, []).append(violation)
-        found.extend(produced)
-    return found
-
-
-# ----------------------------------------------------------------- #
-# single-file entry points (local rules only; kept for library users)
 
 
 def lint_source(
@@ -298,23 +178,9 @@ def lint_source(
     graph and are reached through :func:`lint_paths`.
     """
     chosen = _resolve_select(select)
+    rules = [rule for rule in local_rules() if rule.rule_id in chosen]
     file_role = role if role is not None else infer_role(path)
-    parsed = _parse(source, path)
-    if isinstance(parsed, Violation):
-        return [parsed]
-    ctx = FileContext(
-        path=path,
-        role=file_role,
-        source=source,
-        tree=parsed,
-        parts=_normalise(path),
-    )
-    violations = [
-        violation
-        for rule in local_rules()
-        if rule.rule_id in chosen and rule.applies(file_role)
-        for violation in rule.check(ctx)
-    ]
+    _, violations = _check_file(path, source, file_role, rules)
     if respect_suppressions and violations:
         suppressions = parse_suppressions(source)
         violations = [v for v in violations if not suppressions.covers(v)]
@@ -339,6 +205,32 @@ def lint_file(
 
 
 # ----------------------------------------------------------------- #
+# project pass
+
+
+def _project_pass(
+    entries: list[tuple[str, ModuleRole, str, ast.Module, tuple[str, ...]]],
+    raw: dict[str, list[Violation]],
+    suppressions: dict[str, Suppressions],
+) -> list[Violation]:
+    """Build the program model and run every whole-program rule."""
+    model = build_program(entries)
+    model.raw_violations = {path: list(found) for path, found in raw.items()}
+    model.suppressions = suppressions
+    rules = project_rules()
+    ordered = [rule for rule in rules if rule.rule_id != STALE_RULE_ID] + [
+        rule for rule in rules if rule.rule_id == STALE_RULE_ID
+    ]
+    found: list[Violation] = []
+    for rule in ordered:
+        produced = list(rule.check(model))
+        for violation in produced:
+            model.raw_violations.setdefault(violation.path, []).append(violation)
+        found.extend(produced)
+    return found
+
+
+# ----------------------------------------------------------------- #
 # the full pipeline
 
 
@@ -348,8 +240,6 @@ class LintReport:
 
     files: int
     violations: list[Violation] = field(default_factory=list)
-    #: Findings silenced by the committed baseline (debt, not success).
-    waived: int = 0
 
     @property
     def clean(self) -> bool:
@@ -364,10 +254,9 @@ class LintReport:
 
     def as_dict(self) -> dict[str, object]:
         return {
-            "version": 2,
+            "version": 3,
             "files": self.files,
             "counts": self.counts(),
-            "waived": self.waived,
             "violations": [v.as_dict() for v in self.violations],
         }
 
@@ -377,41 +266,32 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     respect_suppressions: bool = True,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    baseline_path: str | None = None,
-    update_baseline: bool = False,
 ) -> LintReport:
-    """Lint files and directories; the core entry point behind the CLI.
+    """Lint files and directories; the core entry point behind ``repro lint``.
 
-    All rules always run (so cache records are complete); ``select``
-    filters the report afterwards.  ``cache_dir=None`` disables the
-    incremental cache, ``baseline_path=None`` disables the baseline.
+    Every rule always runs, because STALE001 audits each suppression
+    against every rule's raw findings; ``select`` filters the report
+    afterwards.
     """
     chosen = _resolve_select(select)
     files = iter_python_files(paths)
-    cache = LintCache(cache_dir)
-    sources, results, keys = _local_pass(files, cache, jobs)
-    suppressions = {
-        path: from_directives(result.directives)
-        for path, result in results.items()
-    }
+    rules = local_rules()
+    raw: dict[str, list[Violation]] = {}
+    suppressions: dict[str, Suppressions] = {}
+    entries: list[tuple[str, ModuleRole, str, ast.Module, tuple[str, ...]]] = []
+    for path in files:
+        source = _read(path)
+        role = infer_role(path)
+        tree, raw[path] = _check_file(path, source, role, rules)
+        suppressions[path] = parse_suppressions(source)
+        if tree is not None:
+            entries.append((path, role, source, tree, _normalise(path)))
 
-    project_sig = rules_signature(project_rules())
-    project_cache_key = program_key(keys.items(), project_sig)
-    project_found = cache.load_project(project_cache_key)
-    if project_found is None:
-        project_found = tuple(_project_pass(sources, results, suppressions))
-        cache.store_project(project_cache_key, project_found)
-
-    raw: list[Violation] = [
-        violation for result in results.values() for violation in result.violations
-    ]
-    raw.extend(project_found)
-
+    found = [violation for file_found in raw.values() for violation in file_found]
+    found.extend(_project_pass(entries, raw, suppressions))
     violations = [
         violation
-        for violation in raw
+        for violation in found
         if violation.rule in chosen or violation.rule == PARSE_RULE_ID
     ]
     if respect_suppressions:
@@ -424,12 +304,4 @@ def lint_paths(
             )
         ]
     violations.sort(key=Violation.sort_key)
-
-    waived = 0
-    if baseline_path is not None:
-        if update_baseline:
-            waived = write_baseline(baseline_path, violations)
-            violations = []
-        else:
-            violations, waived = load_baseline(baseline_path).apply(violations)
-    return LintReport(files=len(files), violations=violations, waived=waived)
+    return LintReport(files=len(files), violations=violations)

@@ -30,7 +30,6 @@ __all__ = [
     "all_rules",
     "local_rules",
     "project_rules",
-    "rules_signature",
     "PARSE_RULE_ID",
     "STALE_RULE_ID",
     "UNSUPPRESSABLE_RULES",
@@ -57,12 +56,11 @@ class LintError(ReproError):
 class RuleKind(enum.Enum):
     """How a rule's checker is driven by the engine.
 
-    ``LOCAL`` checkers see one :class:`FileContext` at a time and their
-    results are cacheable per file.  ``PROJECT`` checkers run once per
-    lint invocation against the whole
-    :class:`~repro.devtools.simlint.program.ProgramModel` — they may
-    follow the call graph across modules, so any file change invalidates
-    their cached output as a unit.
+    ``LOCAL`` checkers see one :class:`FileContext` at a time.
+    ``PROJECT`` checkers run once per lint invocation against the whole
+    :class:`~repro.devtools.simlint.program.ProgramModel`, built from
+    the same parse trees, so they may follow the call graph across
+    modules.
     """
 
     LOCAL = "local"
@@ -150,10 +148,6 @@ class Rule:
     roles: frozenset[ModuleRole]
     #: Local checkers take a FileContext, project checkers a ProgramModel.
     check: Callable[..., Iterator[Violation]] = field(compare=False)
-    #: Bumped whenever the checker's behaviour changes; part of the
-    #: incremental-cache key so stale cached findings never survive a
-    #: rule upgrade.
-    version: int = 1
     kind: RuleKind = RuleKind.LOCAL
 
     def applies(self, role: ModuleRole) -> bool:
@@ -171,7 +165,6 @@ def register(
     summary: str,
     invariant: str,
     roles: Iterable[ModuleRole],
-    version: int = 1,
     kind: RuleKind = RuleKind.LOCAL,
 ) -> Callable[[Callable[..., Iterator[Violation]]], Callable[..., Iterator[Violation]]]:
     """Class/function decorator adding a checker to :data:`REGISTRY`."""
@@ -187,7 +180,6 @@ def register(
             invariant=invariant,
             roles=frozenset(roles),
             check=check,
-            version=version,
             kind=kind,
         )
         return check
@@ -201,25 +193,10 @@ def all_rules() -> list[Rule]:
 
 
 def local_rules() -> list[Rule]:
-    """Per-file rules in stable order (the cacheable set)."""
+    """Per-file rules in stable order."""
     return [rule for rule in all_rules() if rule.kind is RuleKind.LOCAL]
 
 
 def project_rules() -> list[Rule]:
     """Whole-program rules in stable order."""
     return [rule for rule in all_rules() if rule.kind is RuleKind.PROJECT]
-
-
-def rules_signature(rules: Iterable[Rule]) -> str:
-    """Stable fingerprint of a rule set: IDs plus versions.
-
-    Cache entries embed this so bumping any rule's ``version`` (or
-    adding/removing a rule) invalidates exactly the findings that could
-    differ.
-    """
-    return ",".join(f"{rule.rule_id}:{rule.version}" for rule in sorted_rules(rules))
-
-
-def sorted_rules(rules: Iterable[Rule]) -> list[Rule]:
-    """Rules sorted by ID (the project's canonical order)."""
-    return sorted(rules, key=lambda rule: rule.rule_id)

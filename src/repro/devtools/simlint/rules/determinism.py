@@ -237,7 +237,6 @@ class _Visitor(ast.NodeVisitor):
     summary="nondeterminism source in a simulation module",
     invariant="simulations are bit-deterministic under a seed",
     roles=(ModuleRole.SIM,),
-    version=3,
 )
 def check_determinism(ctx: FileContext) -> Iterator[Violation]:
     visitor = _Visitor(ctx)
@@ -324,7 +323,6 @@ def iter_sources(root: ast.AST) -> Iterator[_Source]:
     summary="nondeterminism source reachable from the simulation core",
     invariant="every function the detailed engine can call is deterministic",
     roles=_TAINT_ROLES,
-    version=1,
     kind=RuleKind.PROJECT,
 )
 def check_determinism_taint(model: "ProgramModel") -> Iterator[Violation]:

@@ -12,10 +12,6 @@ appears anywhere in the file as an identifier (including annotations —
 expressions) or as a word inside any string constant (which covers
 ``__all__`` re-export lists and docstring references).  ``__init__.py``
 and ``conftest.py`` are skipped wholesale: re-exporting is their job.
-
-This is the flagship ``--fix`` rule: the autofixer deletes the unused
-alias (or the whole statement when every alias on it is dead) — see
-:mod:`repro.devtools.simlint.fixes`.
 """
 
 from __future__ import annotations
@@ -63,9 +59,8 @@ def unused_import_aliases(
 ) -> Iterator[tuple[ast.Import | ast.ImportFrom, ast.alias, str]]:
     """(statement, alias, bound name) for every dead import binding.
 
-    Shared with the autofixer so ``--fix`` removes exactly what the
-    rule reported.  ``from __future__`` and ``import *`` are compiler
-    directives, not bindings, and are never flagged.
+    ``from __future__`` and ``import *`` are compiler directives, not
+    bindings, and are never flagged.
     """
     used = _used_names(tree)
     for node in ast.walk(tree):
@@ -86,7 +81,6 @@ def unused_import_aliases(
     summary="imported name is never used",
     invariant="the import graph only carries edges the code exercises",
     roles=tuple(ModuleRole),
-    version=1,
 )
 def check_unused_imports(ctx: FileContext) -> Iterator[Violation]:
     if ctx.parts and ctx.parts[-1] in _SKIP_BASENAMES:
@@ -100,6 +94,6 @@ def check_unused_imports(ctx: FileContext) -> Iterator[Violation]:
             rule=_RULE,
             message=(
                 f"import {shown!r} binds {bound!r} but the name is never "
-                "used; drop it (repro lint --fix removes it)"
+                "used; drop it"
             ),
         )

@@ -268,7 +268,6 @@ def _lock_classes(tree: ast.Module) -> Iterator[_ClassScan]:
     summary="lock-guarded attribute accessed without its lock",
     invariant="shared mutable state is only touched under its owning lock",
     roles=_ROLES,
-    version=1,
 )
 def check_lock_guards(ctx: FileContext) -> Iterator[Violation]:
     for scan in _lock_classes(ctx.tree):
@@ -295,7 +294,6 @@ def check_lock_guards(ctx: FileContext) -> Iterator[Violation]:
     summary="locks acquired in inconsistent nesting order",
     invariant="nested lock acquisitions follow one global order",
     roles=_ROLES,
-    version=1,
     kind=RuleKind.PROJECT,
 )
 def check_lock_order(model: "ProgramModel") -> Iterator[Violation]:

@@ -135,7 +135,6 @@ def _write_path(model: "ProgramModel") -> Iterator[tuple["FunctionInfo", str]]:
     summary="impure operation on the telemetry/metrics write path",
     invariant="recording an event never mutates simulation state or blocks",
     roles=(ModuleRole.TELEMETRY, ModuleRole.SIM),
-    version=1,
     kind=RuleKind.PROJECT,
 )
 def check_write_path_purity(model: "ProgramModel") -> Iterator[Violation]:

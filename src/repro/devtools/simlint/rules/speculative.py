@@ -144,7 +144,6 @@ class _Visitor(ast.NodeVisitor):
         ModuleRole.TELEMETRY,
         ModuleRole.SERVICE,
     ),
-    version=3,
 )
 def check_speculative_writes(ctx: FileContext) -> Iterator[Violation]:
     if any(ctx.under(*prefix) for prefix in _TRUSTED_PREFIXES):

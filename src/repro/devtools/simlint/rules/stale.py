@@ -15,10 +15,8 @@ checked against them:
   like rule ids, and directives naming no rules are always flagged —
   they can never have matched anything.
 
-Findings are reported against the directive's own line, and the
-``--fix`` autofixer deletes the dead part (the whole comment when every
-named rule is stale, just the stale ids otherwise).  TEST-role files
-are exempt: the suppression-parser fixtures *are* directives, by
+Findings are reported against the directive's own line.  TEST-role
+files are exempt: the suppression-parser fixtures *are* directives, by
 design.  The rule itself is unsuppressable — a suppression of a
 stale-suppression finding could never match.
 """
@@ -49,11 +47,7 @@ _ROLES = tuple(role for role in ModuleRole if role is not ModuleRole.TEST)
 def stale_rule_ids(
     directive: "Directive", raw: "list[Violation]"
 ) -> list[tuple[str, str]]:
-    """(rule id or entry, reason) for each dead part of one directive.
-
-    Shared with the autofixer: an id listed here is exactly what
-    ``--fix`` strips from the comment.
-    """
+    """(rule id or entry, reason) for each dead part of one directive."""
     matchable = [
         violation
         for violation in raw
@@ -85,7 +79,6 @@ def stale_rule_ids(
     summary="suppression comment no longer silences any finding",
     invariant="every standing exception to an invariant is still needed",
     roles=_ROLES,
-    version=1,
     kind=RuleKind.PROJECT,
 )
 def check_stale_suppressions(model: "ProgramModel") -> Iterator[Violation]:
@@ -103,6 +96,6 @@ def check_stale_suppressions(model: "ProgramModel") -> Iterator[Violation]:
                     rule=STALE_RULE_ID,
                     message=(
                         f"stale suppression: {reason}; remove or correct "
-                        "the directive (repro lint --fix does this)"
+                        "the directive"
                     ),
                 )

@@ -7,9 +7,9 @@ the fields code-scanning consumes are emitted — tool metadata with the
 full rule catalogue (so the UI shows the invariant a rule protects),
 and one ``result`` per violation with a physical location.
 
-Baseline-waived findings are *absent* by construction: the report
-passed in is post-filtering, so annotations only mark findings the
-gate would actually fail on.
+Suppressed findings are *absent* by construction: the report passed in
+is post-filtering, so annotations only mark findings the gate would
+actually fail on.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ _SCHEMA = (
 
 def _uri(path: str) -> str:
     """Repo-relative, forward-slash artifact URI."""
-    return path.lstrip("./").replace("\\", "/")
+    return path.replace("\\", "/").removeprefix("./")
 
 
 def to_sarif(report: LintReport) -> dict[str, object]:

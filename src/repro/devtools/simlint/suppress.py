@@ -24,8 +24,7 @@ unsuppressable anyway.
 
 Every parsed directive is kept as a :class:`Directive` record: the
 engine's ``STALE001`` pass compares them against the raw findings to
-flag suppressions that no longer silence anything, and ``--fix``
-rewrites or removes them in place.
+flag suppressions that no longer silence anything.
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ class Suppressions:
     file_rules: frozenset[str]
     #: Line number → rule IDs silenced on that line.
     line_rules: dict[int, frozenset[str]]
-    #: Every directive in source order (drives STALE001 and --fix).
+    #: Every directive in source order (drives STALE001).
     directives: tuple[Directive, ...] = field(default=())
 
     def covers(self, violation: Violation) -> bool:
@@ -104,11 +103,7 @@ def _comment_lines(source: str) -> list[tuple[int, str]]:
 
 
 def from_directives(directives: tuple[Directive, ...]) -> Suppressions:
-    """Build the queryable suppression set from parsed directives.
-
-    Also the rehydration path for the incremental cache, which stores
-    directives (not the derived maps) per file.
-    """
+    """Build the queryable suppression set from parsed directives."""
     file_rules: set[str] = set()
     line_rules: dict[int, frozenset[str]] = {}
     for directive in directives:
@@ -130,6 +125,9 @@ def from_directives(directives: tuple[Directive, ...]) -> Suppressions:
 def parse_suppressions(source: str) -> Suppressions:
     """Extract suppression directives from raw source text."""
     directives: list[Directive] = []
+    if "simlint:" not in source:
+        # No directive can match: skip tokenizing (most files).
+        return from_directives(())
     for lineno, text in _comment_lines(source):
         match = _DIRECTIVE.search(text)
         if match is None:

@@ -6,12 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as repro_main
-from repro.devtools.simlint.cli import (
-    EXIT_CLEAN,
-    EXIT_INTERNAL,
-    EXIT_VIOLATIONS,
-    main as simlint_main,
-)
+from repro.devtools.simlint.cli import EXIT_CLEAN, EXIT_INTERNAL, EXIT_VIOLATIONS
 from repro.devtools.simlint.model import REGISTRY
 
 
@@ -28,24 +23,24 @@ class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "ok.py"
         good.write_text("X = 1\n")
-        assert simlint_main([str(tmp_path)]) == EXIT_CLEAN
+        assert repro_main(["lint", str(tmp_path)]) == EXIT_CLEAN
         assert "clean" in capsys.readouterr().out
 
     def test_violations_exit_one(self, dirty_tree, capsys):
-        assert simlint_main([str(dirty_tree)]) == EXIT_VIOLATIONS
+        assert repro_main(["lint", str(dirty_tree)]) == EXIT_VIOLATIONS
         assert "ERR001" in capsys.readouterr().out
 
     def test_unparseable_file_exits_one(self, tmp_path, capsys):
         (tmp_path / "broken.py").write_text("def f(:\n")
-        assert simlint_main([str(tmp_path)]) == EXIT_VIOLATIONS
+        assert repro_main(["lint", str(tmp_path)]) == EXIT_VIOLATIONS
         assert "PARSE001" in capsys.readouterr().out
 
     def test_no_paths_exits_two(self, capsys):
-        assert simlint_main([]) == EXIT_INTERNAL
+        assert repro_main(["lint"]) == EXIT_INTERNAL
         assert "no paths" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, tmp_path, capsys):
-        assert simlint_main(["--select", "NOPE999", str(tmp_path)]) == EXIT_INTERNAL
+        assert repro_main(["lint", "--select", "NOPE999", str(tmp_path)]) == EXIT_INTERNAL
         assert "unknown rule" in capsys.readouterr().err
 
     def test_checker_crash_exits_two(self, dirty_tree, capsys, monkeypatch):
@@ -55,25 +50,25 @@ class TestExitCodes:
 
         broken = dataclasses.replace(REGISTRY["ERR001"], check=boom)
         monkeypatch.setitem(REGISTRY, "ERR001", broken)
-        assert simlint_main([str(dirty_tree)]) == EXIT_INTERNAL
+        assert repro_main(["lint", str(dirty_tree)]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
 
 
 class TestOutput:
     def test_json_format(self, dirty_tree, capsys):
-        assert simlint_main(["--format", "json", str(dirty_tree)]) == EXIT_VIOLATIONS
+        assert repro_main(["lint", "--format", "json", str(dirty_tree)]) == EXIT_VIOLATIONS
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["counts"] == {"ERR001": 1}
         assert payload["violations"][0]["rule"] == "ERR001"
 
     def test_select_filter(self, dirty_tree, capsys):
         assert (
-            simlint_main(["--select", "API001", str(dirty_tree)]) == EXIT_CLEAN
+            repro_main(["lint", "--select", "API001", str(dirty_tree)]) == EXIT_CLEAN
         )
 
     def test_list_rules(self, capsys):
-        assert simlint_main(["--list-rules"]) == EXIT_CLEAN
+        assert repro_main(["lint", "--list-rules"]) == EXIT_CLEAN
         out = capsys.readouterr().out
         for rule_id in (
             "API001",
@@ -89,65 +84,15 @@ class TestOutput:
             "TEL001",
         ):
             assert rule_id in out
-        # Kind and version are part of the listing.
-        assert "project" in out and "local" in out and "v1" in out
+        # The rule kind is part of the listing.
+        assert "project" in out and "local" in out
 
     def test_sarif_format(self, dirty_tree, capsys):
-        assert simlint_main(["--format", "sarif", str(dirty_tree)]) == EXIT_VIOLATIONS
+        assert repro_main(["lint", "--format", "sarif", str(dirty_tree)]) == EXIT_VIOLATIONS
         log = json.loads(capsys.readouterr().out)
         assert log["version"] == "2.1.0"
         results = log["runs"][0]["results"]
         assert [r["ruleId"] for r in results] == ["ERR001"]
-
-
-class TestCliCacheAndBaseline:
-    def test_warm_cache_run_agrees(self, dirty_tree, capsys):
-        cache = str(dirty_tree / ".cache")
-        args = ["--cache-dir", cache, str(dirty_tree)]
-        assert simlint_main(args) == EXIT_VIOLATIONS
-        cold = capsys.readouterr().out
-        assert simlint_main(args) == EXIT_VIOLATIONS
-        assert capsys.readouterr().out == cold
-
-    def test_update_baseline_then_gate_clean(self, dirty_tree, capsys):
-        baseline = str(dirty_tree / "baseline.json")
-        assert (
-            simlint_main(
-                ["--baseline", baseline, "--update-baseline", str(dirty_tree)]
-            )
-            == EXIT_CLEAN
-        )
-        capsys.readouterr()
-        assert simlint_main(["--baseline", baseline, str(dirty_tree)]) == EXIT_CLEAN
-        assert "waived by baseline" in capsys.readouterr().out
-
-    def test_no_baseline_flag_ignores_it(self, dirty_tree, capsys):
-        baseline = str(dirty_tree / "baseline.json")
-        simlint_main(["--baseline", baseline, "--update-baseline", str(dirty_tree)])
-        capsys.readouterr()
-        assert (
-            simlint_main(
-                ["--baseline", baseline, "--no-baseline", str(dirty_tree)]
-            )
-            == EXIT_VIOLATIONS
-        )
-
-    def test_missing_default_baseline_is_fine(self, dirty_tree):
-        # No .simlint-baseline.json in the scratch cwd: plain run works.
-        assert simlint_main([str(dirty_tree)]) == EXIT_VIOLATIONS
-
-
-class TestCliFix:
-    def test_fix_rewrites_and_reports(self, dirty_tree, capsys):
-        bad = dirty_tree / "src" / "repro" / "core" / "bad.py"
-        assert simlint_main(["--fix", str(dirty_tree)]) == EXIT_CLEAN
-        out = capsys.readouterr().out
-        assert "raise ValueError -> raise ReproError" in out
-        assert "ReproError" in bad.read_text()
-
-    def test_repro_lint_fix(self, dirty_tree, capsys):
-        assert repro_main(["lint", "--fix", str(dirty_tree)]) == EXIT_CLEAN
-        assert "ERR001" in capsys.readouterr().out
 
 
 class TestReproIntegration:

@@ -1,5 +1,6 @@
 """Engine-level tests: roles, suppressions, selection, report schema."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -98,7 +99,7 @@ class TestReport:
         bad.write_text("def f(x):\n    raise ValueError(x)\n")
         report = lint_paths([str(tmp_path)])
         payload = report.as_dict()
-        assert payload["version"] == 2
+        assert payload["version"] == 3
         assert payload["files"] == 1
         assert set(payload["counts"]) == {"API001", "ERR001"}
         for violation in payload["violations"]:
@@ -119,3 +120,25 @@ class TestReport:
         lines = [v.line for v in report.violations]
         assert lines == sorted(lines)
         assert report.counts() == {"API001": 2, "ERR001": 1}
+
+
+class TestSinglePass:
+    def test_each_file_parsed_once(self, tmp_path, monkeypatch):
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        (core / "a.py").write_text("def f(x: int) -> int:\n    return x\n")
+        (core / "b.py").write_text(
+            "from repro.core.a import f\n\n\ndef g(y: int) -> int:\n    return f(y)\n"
+        )
+        (core / "c.py").write_text("X = 1\n")
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        report = lint_paths([str(tmp_path)])
+        assert report.files == 3
+        assert sorted(parsed) == [str(core / name) for name in ("a.py", "b.py", "c.py")]

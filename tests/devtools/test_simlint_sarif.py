@@ -2,7 +2,7 @@
 
 import json
 
-from repro.devtools.simlint import lint_paths
+from repro.devtools.simlint import LintReport, Violation, lint_paths
 from repro.devtools.simlint.sarif import render_sarif, to_sarif
 
 
@@ -65,3 +65,18 @@ class TestResults:
         report = report_for(tmp_path, "def f(x):\n    raise ValueError(x)\n")
         parsed = json.loads(render_sarif(report))
         assert parsed == to_sarif(report)
+
+    def test_uri_drops_only_a_leading_dot_slash(self):
+        report = LintReport(
+            files=2,
+            violations=[
+                Violation(path=path, line=1, col=0, rule="ERR001", message="m")
+                for path in ("./.hidden/m.py", "./src/a.py")
+            ],
+        )
+        results = to_sarif(report)["runs"][0]["results"]
+        uris = [
+            r["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
+            for r in results
+        ]
+        assert uris == [".hidden/m.py", "src/a.py"]
